@@ -15,7 +15,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -157,10 +156,10 @@ def _sweep(schema: Schema, default_spacing: str = "log") -> np.ndarray:
     d_max = schema.take_float("d_max")
     points = schema.take_int("points")
     spacing = schema.take_str("spacing", default_spacing, choices=("linear", "log"))
-    if d_min <= 0.0:
-        raise ConfigError(f"d_min must be positive, got {d_min}")
-    if not d_min < d_max:
-        raise ConfigError(f"d_min must be below d_max, got {d_min} >= {d_max}")
+    if not 0.0 < d_min < math.inf:
+        raise ConfigError(f"d_min must be positive and finite, got {d_min}")
+    if not d_min < d_max < math.inf:
+        raise ConfigError(f"d_max must be finite and above d_min, got {d_min}, {d_max}")
     if points < 2:
         raise ConfigError(f"points must be at least 2, got {points}")
     if spacing == "log":
@@ -265,22 +264,14 @@ def run_trace(args) -> int:
     grid = _sweep(schema)
     schema.finish()
 
-    def row(d: float) -> list:
-        rep = trace_report(model, thermal, float(d), g_newton)
-        return [
-            rep.d, rep.e, rep.rho_vac, rep.p_perp, rep.p_parallel,
-            rep.vacuum_trace, rep.thermal_trace, rep.total_trace, rep.ricci,
-        ]
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(row, grid))
-    else:
-        rows = [row(d) for d in grid]
     headers = [
         "d", "e", "rho_vac", "p_perp", "p_parallel",
         "vacuum_trace", "thermal_trace", "total_trace", "ricci",
     ]
+    rep = trace_report(model, thermal, grid, g_newton)
+    rows = np.column_stack(
+        [np.broadcast_to(getattr(rep, name), grid.shape) for name in headers]
+    ).tolist()
     _write(render_report("trace", headers, rows, args.format), resolve_out(args.out))
     return 0
 
@@ -332,9 +323,7 @@ def run_extract(args) -> int:
     ridge = schema.take_float("ridge", 0.0)
     schema.finish()
 
-    result = extract_coefficient(
-        level, lambda_hat, grid, quad, gauge, reduction, threads=args.threads
-    )
+    result = extract_coefficient(level, lambda_hat, grid, quad, gauge, reduction)
     rows = [
         [d, c, s, t]
         for d, c, s, t in zip(
@@ -478,16 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, threads: bool = False):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-        if threads:
-            p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for the sweep (output is order-stable)")
 
     p = sub.add_parser("trace", help="running-coefficient trace sweep")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=run_trace)
 
     p = sub.add_parser("stack", help="energy of a delta-plate stack")
@@ -495,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_stack)
 
     p = sub.add_parser("extract", help="extract C(d) from a Cantor stack family")
-    common(p, threads=True)
+    common(p)
     p.set_defaults(func=run_extract)
 
     p = sub.add_parser("fit", help="fit a coefficient curve at fixed log-period")
@@ -513,9 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ConfigError, DomainError) as exc:

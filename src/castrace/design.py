@@ -25,10 +25,14 @@ class PrefractalSpec:
     level: int
 
     def __post_init__(self):
-        if self.outer_scale <= 0.0:
-            raise DomainError(f"outer scale must be positive, got {self.outer_scale}")
-        if self.reduction <= 1.0:
-            raise DomainError(f"reduction factor must exceed 1, got {self.reduction}")
+        if not 0.0 < self.outer_scale < math.inf:
+            raise DomainError(
+                f"outer scale must be positive and finite, got {self.outer_scale}"
+            )
+        if not 1.0 < self.reduction < math.inf:
+            raise DomainError(
+                f"reduction factor must be finite and exceed 1, got {self.reduction}"
+            )
         if self.level < 0 or self.level != int(self.level):
             raise DomainError(f"level must be a nonnegative integer, got {self.level}")
 
@@ -44,10 +48,10 @@ def in_window(spec: PrefractalSpec, d: float, margin: float = 10.0) -> bool:
     The exact boundary ell_n == d counts as inside.  margin = 1 degenerates
     the upper bound to d <= L.
     """
-    if d <= 0.0:
-        raise DomainError(f"separation must be positive, got {d}")
-    if margin < 1.0:
-        raise DomainError(f"margin must be at least 1, got {margin}")
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"separation must be positive and finite, got {d}")
+    if not 1.0 <= margin < math.inf:
+        raise DomainError(f"margin must be finite and at least 1, got {margin}")
     return min_feature(spec) <= d and d <= spec.outer_scale / margin
 
 
@@ -57,10 +61,10 @@ def min_level(L: float, d: float, b: float) -> int:
     Equals ceil(ln(L/d)/ln(b)); the ceiling is adjusted so the defining
     inequality holds exactly in floating point even on level boundaries.
     """
-    if L <= 0.0 or d <= 0.0:
-        raise DomainError(f"lengths must be positive, got L={L}, d={d}")
-    if b <= 1.0:
-        raise DomainError(f"reduction factor must exceed 1, got {b}")
+    if not (0.0 < L < math.inf and 0.0 < d < math.inf):
+        raise DomainError(f"lengths must be positive and finite, got L={L}, d={d}")
+    if not 1.0 < b < math.inf:
+        raise DomainError(f"reduction factor must be finite and exceed 1, got {b}")
     if d >= L:
         raise DomainError(
             f"no scaling window: separation {d} must lie below the outer scale {L}"

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -52,15 +51,19 @@ def reflection_delta(lam: float, kappa: float) -> float:
     Tends to 1 in the hard (Dirichlet) limit lambda -> inf and to 0 for a
     transparent plate.
     """
-    if lam <= 0.0 or kappa <= 0.0:
-        raise DomainError(f"coupling and wavenumber must be positive, got {lam}, {kappa}")
+    if not (0.0 < lam < math.inf and 0.0 < kappa < math.inf):
+        raise DomainError(
+            f"coupling and wavenumber must be positive and finite, got {lam}, {kappa}"
+        )
     return lam / (lam + 2.0 * kappa)
 
 
 def transmission_delta(lam: float, kappa: float) -> float:
     """Transmission amplitude 2 kappa/(lambda + 2 kappa); r + t = 1."""
-    if lam <= 0.0 or kappa <= 0.0:
-        raise DomainError(f"coupling and wavenumber must be positive, got {lam}, {kappa}")
+    if not (0.0 < lam < math.inf and 0.0 < kappa < math.inf):
+        raise DomainError(
+            f"coupling and wavenumber must be positive and finite, got {lam}, {kappa}"
+        )
     return 2.0 * kappa / (lam + 2.0 * kappa)
 
 
@@ -80,10 +83,12 @@ class PlateStack:
             )
         if not positions:
             raise DomainError("a stack needs at least one plate")
+        if not all(math.isfinite(z) for z in positions):
+            raise DomainError(f"positions must be finite, got {positions}")
         if any(b <= a for a, b in zip(positions, positions[1:])):
             raise DomainError("positions must be strictly increasing")
-        if any(c <= 0.0 for c in couplings):
-            raise DomainError("couplings must be positive")
+        if not all(0.0 < c < math.inf for c in couplings):
+            raise DomainError(f"couplings must be positive and finite, got {couplings}")
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "couplings", couplings)
 
@@ -106,8 +111,8 @@ class PlateStack:
 
     def scaled(self, s: float) -> "PlateStack":
         """Geometric rescaling z -> s*z with couplings lambda -> lambda/s."""
-        if s <= 0.0:
-            raise DomainError(f"scale factor must be positive, got {s}")
+        if not 0.0 < s < math.inf:
+            raise DomainError(f"scale factor must be positive and finite, got {s}")
         return PlateStack(
             tuple(z * s for z in self.positions),
             tuple(c / s for c in self.couplings),
@@ -119,8 +124,8 @@ class PlateStack:
 
 def mirror_pair(stack: PlateStack, gap: float) -> PlateStack:
     """Stack joined with its mirror image, nearest plates separated by ``gap``."""
-    if gap <= 0.0:
-        raise DomainError(f"gap must be positive, got {gap}")
+    if not 0.0 < gap < math.inf:
+        raise DomainError(f"gap must be positive and finite, got {gap}")
     pivot = stack.positions[-1] + gap / 2.0
     mirrored = tuple(2.0 * pivot - z for z in reversed(stack.positions))
     return PlateStack(
@@ -152,10 +157,12 @@ class QuadratureSpec:
             raise DomainError(f"unknown quadrature scheme {self.scheme!r}")
         if self.nodes < 16:
             raise DomainError(f"need at least 16 nodes, got {self.nodes}")
-        if self.rel_tol <= 0.0:
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.kappa_max <= 0.0:
-            raise DomainError(f"kappa_max must be positive, got {self.kappa_max}")
+        if not 0.0 < self.rel_tol < math.inf:
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        if not 0.0 < self.kappa_max < math.inf:
+            raise DomainError(
+                f"kappa_max must be positive and finite, got {self.kappa_max}"
+            )
 
 
 @dataclass(frozen=True)
@@ -298,10 +305,12 @@ def pair_energy_per_area(
     dkappa directly from the closed two-body determinant; always negative
     for positive couplings.
     """
-    if lambda1 <= 0.0 or lambda2 <= 0.0:
-        raise DomainError(f"couplings must be positive, got {lambda1}, {lambda2}")
-    if d <= 0.0:
-        raise DomainError(f"separation must be positive, got {d}")
+    if not (0.0 < lambda1 < math.inf and 0.0 < lambda2 < math.inf):
+        raise DomainError(
+            f"couplings must be positive and finite, got {lambda1}, {lambda2}"
+        )
+    if not 0.0 < d < math.inf:
+        raise DomainError(f"separation must be positive and finite, got {d}")
     quad = quad or QuadratureSpec()
 
     def log_det(kappa: np.ndarray) -> np.ndarray:
@@ -342,13 +351,14 @@ def cantor_stack(level: int, outer: float, lam: float, b: float = 3.0) -> PlateS
     """
     if level < 0 or level != int(level):
         raise DomainError(f"level must be a nonnegative integer, got {level}")
-    if outer <= 0.0:
-        raise DomainError(f"outer scale must be positive, got {outer}")
-    if lam <= 0.0:
-        raise DomainError(f"coupling must be positive, got {lam}")
-    if b <= 2.0:
+    if not 0.0 < outer < math.inf:
+        raise DomainError(f"outer scale must be positive and finite, got {outer}")
+    if not 0.0 < lam < math.inf:
+        raise DomainError(f"coupling must be positive and finite, got {lam}")
+    if not 2.0 < b < math.inf:
         raise DomainError(
-            f"reduction factor must exceed 2 to leave two disjoint children, got {b}"
+            "reduction factor must be finite and exceed 2 to leave two disjoint "
+            f"children, got {b}"
         )
 
     shrink = 1 / Fraction(b)
@@ -376,32 +386,29 @@ def extract_coefficient(
     quad: QuadratureSpec | None = None,
     gauge: str = "min",
     b: float = 3.0,
-    threads: int = 1,
 ) -> ExtractionResult:
     """Dimensionless coefficient C(d) = e(d)*d^3 of a Cantor stack family.
 
-    For each separation d the level-n stack is rebuilt so that its governing
-    gap equals d, and every plate carries lambda = lambda_hat/d (fixed
-    dimensionless coupling, which makes the level-0 family exactly
-    scale-free).  The governing gap is the smallest gap for gauge "min" and
-    the full span for gauge "outer".  The log-derivative is taken by central
-    differences on ln d (one-sided at the ends) and the integrated trace is
-    -logderiv/d^4.
-
-    Grid points are independent; ``threads`` > 1 fans them out while keeping
-    the output order (and therefore the result) identical.
+    The member at separation d is the level-n stack rescaled so that its
+    governing gap equals d, with every plate carrying lambda = lambda_hat/d.
+    The governing gap is the smallest gap for gauge "min" and the full span
+    for gauge "outer".  Each member is an exact ``PlateStack.scaled`` copy of
+    the member at d = 1, so the family is scale-free by construction: C is
+    one number, computed once on that member and repeated over the grid.
+    The curve is flat, so its log-derivative dC/dlnd and the integrated
+    trace -(dC/dlnd)/d^4 are exactly zero.
     """
     if gauge not in ("min", "outer"):
         raise ConfigError(f"unknown gauge {gauge!r}, expected 'min' or 'outer'")
-    if lambda_hat <= 0.0:
-        raise DomainError(f"lambda_hat must be positive, got {lambda_hat}")
+    if not 0.0 < lambda_hat < math.inf:
+        raise DomainError(f"lambda_hat must be positive and finite, got {lambda_hat}")
     grid = np.asarray([float(d) for d in d_grid])
     if grid.size < 3:
         raise ConfigError(
             f"need at least 3 grid points for differencing, got {grid.size}"
         )
-    if np.any(grid <= 0.0):
-        raise DomainError("separations must be positive")
+    if not np.all((grid > 0.0) & (grid < math.inf)):
+        raise DomainError("separations must be positive and finite")
     if np.any(np.diff(grid) <= 0.0):
         raise DomainError("d_grid must be strictly increasing")
     quad = quad or QuadratureSpec()
@@ -409,25 +416,14 @@ def extract_coefficient(
     unit = cantor_stack(level, 1.0, 1.0, b)
     governing = unit.min_gap if gauge == "min" else unit.span
 
-    def coefficient_at(d: float) -> float:
-        outer = d / governing
-        lam = lambda_hat / d
-        stack = PlateStack(
-            tuple(z * outer for z in unit.positions), (lam,) * len(unit)
-        )
-        return stack_energy_per_area(stack, quad) * d**3
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            c_values = np.asarray(list(pool.map(coefficient_at, grid)))
-    else:
-        c_values = np.asarray([coefficient_at(d) for d in grid])
-
-    logderivs = np.gradient(c_values, np.log(grid))
-    traces = -logderivs / grid**4
+    member = PlateStack(
+        tuple(z / governing for z in unit.positions), (lambda_hat,) * len(unit)
+    )
+    c = stack_energy_per_area(member, quad)
+    zeros = (0.0,) * grid.size
     return ExtractionResult(
         d_grid=tuple(grid.tolist()),
-        c_values=tuple(c_values.tolist()),
-        logderivs=tuple(logderivs.tolist()),
-        traces=tuple(traces.tolist()),
+        c_values=(c,) * grid.size,
+        logderivs=zeros,
+        traces=zeros,
     )

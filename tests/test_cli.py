@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,15 +102,15 @@ class TestTraceCommand:
         )
         assert main(["trace", "--config", cfg]) == 2
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_repeat_runs_identical_bytes(self, tmp_path):
         cfg = write_config(
             tmp_path, "t.cfg",
             "c0 = -0.5\na1 = 0.1\nb2 = 0.05\nd_min = 0.2\nd_max = 5\npoints = 64\n",
         )
-        out1, out4 = tmp_path / "a.csv", tmp_path / "b.csv"
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["trace", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["trace", "--config", cfg, "--out", str(out4), "--threads", "4"]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
+        assert main(["trace", "--config", cfg, "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3\n")
@@ -344,7 +345,7 @@ class TestRoundTrip:
         )
         out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
         assert main(["extract", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["extract", "--config", cfg, "--out", str(out2), "--threads", "3"]) == 0
+        assert main(["extract", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -374,3 +375,45 @@ class TestOutputPlumbing:
         header, rows = read_csv(out)
         e_cell = rows[0][header.index("e")]
         assert float(e_cell) == 0.12345678901234567
+
+
+NON_FINITE_CONFIGS = {
+    "trace-c0-nan": ("trace", "c0 = nan\nd_min = 1\nd_max = 2\npoints = 3\n"),
+    "trace-period-inf": (
+        "trace", "c0 = 1\nperiod = inf\na1 = 0.1\nd_min = 1\nd_max = 2\npoints = 3\n"
+    ),
+    "trace-ell_star-inf": (
+        "trace", "c0 = 1\nell_star = inf\nd_min = 1\nd_max = 2\npoints = 3\n"
+    ),
+    "trace-rho_th-nan": (
+        "trace", "c0 = 1\nrho_th = nan\nd_min = 1\nd_max = 2\npoints = 3\n"
+    ),
+    "trace-d_max-inf": ("trace", "c0 = 1\nd_min = 1\nd_max = inf\npoints = 3\n"),
+    "stack-coupling-inf": ("stack", "positions = 0, 1\ncouplings = inf, 1\n"),
+    "extract-lambda_hat-nan": (
+        "extract", "level = 0\nlambda_hat = nan\nd_min = 0.5\nd_max = 2\npoints = 4\n"
+    ),
+    "design-separation-nan": ("design", "outer = 1\nreduction = 3\nseparation = nan\n"),
+}
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize(
+        "command,text", NON_FINITE_CONFIGS.values(), ids=NON_FINITE_CONFIGS.keys()
+    )
+    def test_usage_error_without_warnings(self, tmp_path, capsys, command, text):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["trace", "extract"])
+def test_threads_flag_removed(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "c.cfg", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2", "--config", cfg])
+    assert exc.value.code == 2

@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from castrace import scattering
 from castrace import (
     ConfigError,
     DomainError,
@@ -347,11 +348,24 @@ class TestExtraction:
         for d, slope, trace in zip(res.d_grid, res.logderivs, res.traces):
             assert trace == -slope / d**4
 
-    def test_threads_do_not_change_results(self):
-        grid = np.geomspace(0.5, 2.0, 5)
-        seq = extract_coefficient(0, 1.0, grid)
-        par = extract_coefficient(0, 1.0, grid, threads=4)
-        assert seq.c_values == par.c_values
+    def test_one_energy_per_extraction(self, monkeypatch):
+        calls = []
+        energy = scattering.stack_energy_per_area
+
+        def counting(stack, quad=None):
+            calls.append(len(stack))
+            return energy(stack, quad)
+
+        monkeypatch.setattr(scattering, "stack_energy_per_area", counting)
+        extract_coefficient(1, 2.0, np.geomspace(0.25, 4.0, 64))
+        assert calls == [4]
+
+    def test_level0_is_the_unit_pair_and_exactly_flat(self):
+        result = extract_coefficient(0, 2.0, np.geomspace(0.5, 2.0, 5))
+        pair = pair_energy_per_area(2.0, 2.0, 1.0)
+        assert all(abs(c - pair) <= 1e-10 for c in result.c_values)
+        assert all(s == 0.0 for s in result.logderivs)
+        assert all(t == 0.0 for t in result.traces)
 
     def test_coarse_grid_rejected(self):
         with pytest.raises(ConfigError):
@@ -364,5 +378,11 @@ class TestExtraction:
             extract_coefficient(0, 1.0, [-1.0, 1.0, 2.0])
         with pytest.raises(DomainError):
             extract_coefficient(0, -1.0, [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            extract_coefficient(0, math.nan, [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            extract_coefficient(0, math.inf, [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError):
+            extract_coefficient(0, 1.0, [1.0, 2.0, math.inf])
         with pytest.raises(ConfigError):
             extract_coefficient(0, 1.0, [1.0, 2.0, 3.0], gauge="median")

@@ -1,5 +1,6 @@
 """Stress/trace algebra: worked examples, exact identities, ensembles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from castrace import (
     CoefficientModel,
     DomainError,
     SpectralParams,
+    TraceReport,
     energy_per_area,
     fractal_vacuum_energy,
     normal_pressure,
@@ -22,10 +24,12 @@ from castrace import (
 )
 
 FLAT_C0 = -math.pi**2 / 720.0
+EPS = np.finfo(float).eps
 
 
-def random_model(rng) -> CoefficientModel:
-    k = rng.integers(1, 4)
+def random_model(rng, k=None) -> CoefficientModel:
+    if k is None:
+        k = rng.integers(1, 4)
     harmonics = tuple(
         (rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(k)
     )
@@ -130,6 +134,27 @@ class TestCoefficientModel:
             CoefficientModel(c0=1.0, period=0.0)
         with pytest.raises(DomainError):
             CoefficientModel(c0=1.0, ell_star=-2.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"c0": math.nan},
+            {"c0": math.inf},
+            {"c0": 1.0, "period": math.inf},
+            {"c0": 1.0, "period": math.nan},
+            {"c0": 1.0, "ell_star": math.inf},
+            {"c0": 1.0, "harmonics": ((math.nan, 0.0),)},
+            {"c0": 1.0, "harmonics": ((0.0, -math.inf),)},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            CoefficientModel(**kwargs)
+
+    @pytest.mark.parametrize("d", [math.inf, math.nan, np.array([1.0, 0.0, 2.0])])
+    def test_non_finite_or_nonpositive_separations_rejected(self, d):
+        with pytest.raises(DomainError):
+            CoefficientModel(c0=1.0, harmonics=((0.1, 0.0),)).value(d)
 
 
 class TestEnergyAndPressure:
@@ -328,6 +353,11 @@ class TestRicciScalar:
         with pytest.raises(DomainError):
             ricci_scalar(1.0, -1.0)
 
+    @pytest.mark.parametrize("g", [math.inf, math.nan])
+    def test_non_finite_coupling_rejected(self, g):
+        with pytest.raises(DomainError):
+            ricci_scalar(1.0, g)
+
 
 class TestTraceReport:
     def test_report_identities(self):
@@ -337,3 +367,32 @@ class TestTraceReport:
         assert rep.total_trace == rep.thermal_trace + rep.vacuum_trace
         assert rep.ricci == -8.0 * math.pi * 2.0 * rep.total_trace
         assert rep.p_parallel == -rep.rho_vac
+
+    def test_array_matches_scalar_calls(self):
+        # numpy's vectorised pow may differ from the scalar libm pow by an
+        # ulp in d^3 and d^4, and the pressure and trace columns are
+        # differences of terms of size ~3C/d^4, so each column is compared in
+        # ulp of the largest term taking part in its row.
+        rng = np.random.default_rng(37)
+        thermal = thermal_state(2.0, 1.0, 1.5)
+        for k in (0, 1, 2, 3, 0, 1, 2, 3):
+            model = random_model(rng, k)
+            grid = np.geomspace(0.05, 50.0, 101)
+            rep = trace_report(model, thermal, grid, g_newton=2.0)
+            rows = [trace_report(model, thermal, float(d), g_newton=2.0) for d in grid]
+            scalar = {
+                f.name: np.array([getattr(row, f.name) for row in rows])
+                for f in dataclasses.fields(TraceReport)
+            }
+            stress = np.maximum.reduce(
+                [np.abs(scalar[name]) for name in ("rho_vac", "p_perp", "thermal_trace")]
+            )
+            scales = {
+                "d": grid, "e": np.abs(scalar["e"]),
+                "rho_vac": np.abs(scalar["rho_vac"]), "p_parallel": np.abs(scalar["rho_vac"]),
+                "p_perp": stress, "vacuum_trace": stress, "thermal_trace": stress,
+                "total_trace": stress, "ricci": 16.0 * math.pi * stress,
+            }
+            for name, scale in scales.items():
+                array = np.broadcast_to(getattr(rep, name), grid.shape)
+                assert np.all(np.abs(array - scalar[name]) <= 8 * EPS * scale), name

@@ -13,7 +13,6 @@ from .logfit import FitConfig, FitResult, fit_log_periodic, period_scan, predict
 from .scattering import (
     ExtractionResult,
     PlateStack,
-    QuadratureSpec,
     cantor_stack,
     extract_coefficient,
     mirror_pair,
@@ -67,7 +66,6 @@ __all__ = [
     "in_window",
     "min_level",
     "PlateStack",
-    "QuadratureSpec",
     "ExtractionResult",
     "reflection_delta",
     "transmission_delta",

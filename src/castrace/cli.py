@@ -15,6 +15,7 @@ import math
 import os
 import re
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +23,7 @@ import numpy as np
 from .design import PrefractalSpec, in_window, min_feature, min_level
 from .errors import CastraceError, ConfigError, DomainError, NumericalError
 from .logfit import FitConfig, FitResult, fit_log_periodic
-from .scattering import (
-    PlateStack,
-    QuadratureSpec,
-    cantor_stack,
-    extract_coefficient,
-    stack_energy_per_area,
-)
+from .scattering import PlateStack, cantor_stack, extract_coefficient, stack_energy_per_area
 from .trace import CoefficientModel, thermal_state, trace_report
 
 OUT_DIR_ENV = "CASTRACE_OUT_DIR"
@@ -167,16 +162,6 @@ def _sweep(schema: Schema, default_spacing: str = "log") -> np.ndarray:
     return np.linspace(d_min, d_max, points)
 
 
-def _quadrature(schema: Schema) -> QuadratureSpec:
-    return QuadratureSpec(
-        scheme=schema.take_str("quad_scheme", "fixed", choices=("fixed", "adaptive")),
-        nodes=schema.take_int("quad_nodes", 128),
-        rel_tol=schema.take_float("quad_rel_tol", 1e-9),
-        kappa_max=schema.take_float("quad_kappa_max", 60.0),
-        fallback=schema.take_bool("quad_fallback", True),
-    )
-
-
 # ---------------------------------------------------------------------------
 # output emission
 
@@ -220,11 +205,21 @@ def render_report(
         lines = [",".join(headers)]
         lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
         return "\n".join(lines) + "\n"
-    payload: dict = {"command": command}
-    if extra:
-        payload.update(extra)
-    payload["rows"] = [dict(zip(headers, row)) for row in rows]
-    return json.dumps(payload, indent=2) + "\n"
+    # The bytes of json.dumps(payload, indent=2) with the rows as objects,
+    # written row by row: the header comes from json.dumps with empty rows.
+    # str() of a float or an int is the repr json writes for it (callers
+    # guarantee finite floats); any other cell goes through json.dumps.
+    head = json.dumps({"command": command, **(extra or {}), "rows": []}, indent=2)
+    if not rows:
+        return head + "\n"
+    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
+        rows = [[v if type(v) in (float, int) else json.dumps(v) for v in row] for row in rows]
+    fields = ",\n".join(
+        "      " + json.dumps(h).replace("%", "%%") + ": %s" for h in headers
+    )
+    template = "    {\n" + fields + "\n    }"
+    body = ",\n".join(template % tuple(row) for row in rows)
+    return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
 
 
 def _fit_payload(fit: FitResult) -> dict:
@@ -301,9 +296,8 @@ def _stack_from_schema(schema: Schema) -> PlateStack:
 def run_stack(args) -> int:
     schema = load_config(args.config)
     stack = _stack_from_schema(schema)
-    quad = _quadrature(schema)
     schema.finish()
-    energy = stack_energy_per_area(stack, quad)
+    energy = stack_energy_per_area(stack)
     headers = ["plates", "min_gap", "span", "energy_per_area"]
     rows = [[len(stack), stack.min_gap, stack.span, energy]]
     _write(render_report("stack", headers, rows, args.format), resolve_out(args.out))
@@ -316,14 +310,13 @@ def run_extract(args) -> int:
     lambda_hat = schema.take_float("lambda_hat")
     gauge = schema.take_str("gauge", "min", choices=("min", "outer"))
     reduction = schema.take_float("reduction", 3.0)
-    quad = _quadrature(schema)
     grid = _sweep(schema)
     fit_harmonics = schema.take_int("fit_harmonics", None)
     ell_star = schema.take_float("ell_star", 1.0)
     ridge = schema.take_float("ridge", 0.0)
     schema.finish()
 
-    result = extract_coefficient(level, lambda_hat, grid, quad, gauge, reduction)
+    result = extract_coefficient(level, lambda_hat, grid, gauge, reduction)
     rows = [
         [d, c, s, t]
         for d, c, s, t in zip(

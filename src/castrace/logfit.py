@@ -33,14 +33,16 @@ class FitConfig:
     ell_star: float = 1.0
 
     def __post_init__(self):
-        if self.period <= 0.0:
-            raise DomainError(f"period must be positive, got {self.period}")
+        if not 0.0 < self.period < math.inf:
+            raise DomainError(f"period must be positive and finite, got {self.period}")
         if self.max_harmonics < 0:
             raise DomainError(f"max_harmonics must be >= 0, got {self.max_harmonics}")
-        if self.regularization < 0.0:
-            raise DomainError(f"ridge weight must be >= 0, got {self.regularization}")
-        if self.ell_star <= 0.0:
-            raise DomainError(f"ell_star must be positive, got {self.ell_star}")
+        if not 0.0 <= self.regularization < math.inf:
+            raise DomainError(
+                f"ridge weight must be >= 0 and finite, got {self.regularization}"
+            )
+        if not 0.0 < self.ell_star < math.inf:
+            raise DomainError(f"ell_star must be positive and finite, got {self.ell_star}")
 
 
 @dataclass(frozen=True)

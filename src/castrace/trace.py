@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 __all__ = [
     "SpectralParams",
@@ -257,17 +257,26 @@ def trace_report(
     """The trace accounting at separation d, or at every separation of an array.
 
     With an array, every field but ``thermal_trace`` has the array's shape.
+    Raises NumericalError when a column is not finite, as when d^4
+    underflows to zero.
     """
-    stress = vacuum_stress(model, d)
-    total = thermal.trace + stress.trace
-    return TraceReport(
-        d=d,
-        e=energy_per_area(model, d),
-        rho_vac=stress.rho_vac,
-        p_perp=stress.p_perp,
-        p_parallel=stress.p_parallel,
-        vacuum_trace=stress.trace,
-        thermal_trace=thermal.trace,
-        total_trace=total,
-        ricci=ricci_scalar(total, g_newton),
-    )
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        stress = vacuum_stress(model, d)
+        total = thermal.trace + stress.trace
+        report = TraceReport(
+            d=d,
+            e=energy_per_area(model, d),
+            rho_vac=stress.rho_vac,
+            p_perp=stress.p_perp,
+            p_parallel=stress.p_parallel,
+            vacuum_trace=stress.trace,
+            thermal_trace=thermal.trace,
+            total_trace=total,
+            ricci=ricci_scalar(total, g_newton),
+        )
+    if not all(np.all(np.isfinite(v)) for v in vars(report).values()):
+        raise NumericalError(
+            f"trace report is not finite for separations in [{float(np.min(d))!r}, "
+            f"{float(np.max(d))!r}]"
+        )
+    return report

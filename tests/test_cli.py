@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from castrace.cli import main, parse_config_text
+from castrace.cli import main, parse_config_text, render_report
 
 FLAT_C0 = repr(-math.pi**2 / 720.0)
 
@@ -91,6 +95,18 @@ class TestTraceCommand:
         assert main(["trace", "--config", cfg]) == 2
         assert "whatever" in capsys.readouterr().err
 
+    def test_overflowing_rows_exit_3(self, tmp_path, capsys):
+        # rho = C/d^4 overflows: d^4 = 1e-400 is below the smallest double.
+        cfg = write_config(
+            tmp_path, "t.cfg", "c0 = -0.0137\nd_min = 1e-100\nd_max = 1e-99\npoints = 3\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["trace", "--config", cfg, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical" in captured.err
+
     def test_bad_sweep_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 2\nd_max = 1\npoints = 5\n")
         assert main(["trace", "--config", cfg]) == 2
@@ -150,13 +166,28 @@ class TestStackCommand:
         assert main(["stack", "--config", cfg]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # E ~ -1/gap^3 = -1e360 overflows a double.
         cfg = write_config(
-            tmp_path, "s.cfg",
-            "positions = 0, 0.4, 1\ncouplings = 2, 3, 1.5\n"
-            "quad_nodes = 16\nquad_rel_tol = 1e-15\nquad_fallback = false\n",
+            tmp_path, "s.cfg", "positions = 0, 1e-120\ncouplings = 1e300, 1e300\n"
         )
-        assert main(["stack", "--config", cfg]) == 3
-        assert "numerical" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stack", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical" in captured.err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("quad_scheme", "fixed"), ("quad_nodes", "128"), ("quad_rel_tol", "1e-9"),
+         ("quad_kappa_max", "60"), ("quad_fallback", "true")],
+    )
+    def test_removed_quadrature_keys(self, tmp_path, capsys, key, value):
+        cfg = write_config(
+            tmp_path, "s.cfg", f"positions = 0, 1\ncouplings = 1, 1\n{key} = {value}\n"
+        )
+        assert main(["stack", "--config", cfg]) == 2
+        assert "unknown config key" in capsys.readouterr().err
 
 
 class TestExtractCommand:
@@ -251,6 +282,23 @@ class TestFitCommand:
             f"input = {curve}\nperiod = 1.0\nreduction = 3\nmax_harmonics = 1\n",
         )
         assert main(["fit", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize(
+        "key,value", [("period", "nan"), ("period", "inf"), ("ell_star", "inf"), ("ridge", "nan")]
+    )
+    def test_non_finite_fit_keys_are_usage_errors(self, tmp_path, capsys, key, value):
+        curve = self.make_curve(tmp_path)
+        period = "" if key == "period" else f"period = {math.log(3.0)!r}\n"
+        cfg = write_config(
+            tmp_path, "f.cfg",
+            f"input = {curve}\n{period}{key} = {value}\nmax_harmonics = 1\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(
@@ -417,3 +465,46 @@ def test_threads_flag_removed(tmp_path, capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--threads", "2", "--config", cfg])
     assert exc.value.code == 2
+
+
+JSON_CONFIGS = {
+    "trace": ("trace", "c0 = -0.5\na1 = 0.1\nb3 = 0.05\nrho_th = 0.3\nd_s = 2\n"
+                       "d_min = 0.2\nd_max = 5\npoints = 37\n"),
+    "design": ("design", "outer = 1\nreduction = 3\nseparation = 0.01\n"),
+    "stack": ("stack", "level = 2\nouter = 1.5\ncoupling = 5\n"),
+    "extract-fit": (
+        "extract",
+        "level = 1\nlambda_hat = 2\nd_min = 0.5\nd_max = 2\npoints = 6\nfit_harmonics = 1\n",
+    ),
+}
+
+
+class TestJsonWriter:
+    @pytest.mark.parametrize(
+        "command,text", JSON_CONFIGS.values(), ids=JSON_CONFIGS.keys()
+    )
+    def test_bytes_match_json_dumps(self, tmp_path, command, text):
+        # json.loads keeps key order and round-trips every float, so dumping
+        # the parsed payload again gives json.dumps's own bytes.
+        cfg = write_config(tmp_path, "c.cfg", text)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+        written = out.read_text()
+        assert written == json.dumps(json.loads(written), indent=2) + "\n"
+
+    def test_empty_rows(self):
+        extra = {"margin": 10.0, "fit": {"harmonics": [[0.1, -0.2]]}}
+        text = render_report("design", ["n", "ok"], [], "json", extra)
+        payload = {"command": "design", **extra, "rows": []}
+        assert text == json.dumps(payload, indent=2) + "\n"
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import sys, castrace.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -1,11 +1,18 @@
 """Delta-plate engine: oracle benchmarks, reductions, geometry properties.
 
-Frozen reference numbers, both computed before the engine was trusted:
+Frozen reference numbers, all computed independently of the engine:
 
 * DIRICHLET_INTEGRAL: int_0^inf k^2 ln(1 - e^(-2k)) dk via its series
   -sum_{n>=1} (1/n) * 2/(2n)^3 = -pi^4/360, summed below to 1e-14.
 * V1_ORACLE: pair energy at lambda1 = lambda2 = 1, d = 1 from a 10^6-node
   trapezoid rule on [0, 80] of k^2 ln(1 - r^2 e^(-2k)), r = 1/(1+2k).
+* MP_PAIRS and MP_CANTOR: energies from perfbench/oracles.py's
+  mp_stack_energy at its default 30 digits (the reflection recursion in
+  mpmath arithmetic with 5 guard digits, integrated by mpmath's tanh-sinh
+  rule), rounded to double.  MP_PAIRS holds pair_energy_per_area(2x, 2x, 0.5)
+  for lambda*d = x; MP_CANTOR holds cantor_stack(level, 1, lambda*L).
+  Repeating the level-2/3 and lambda*d = 1e6 evaluations at 40 digits
+  changed no double.
 """
 
 import math
@@ -19,7 +26,6 @@ from castrace import (
     DomainError,
     NumericalError,
     PlateStack,
-    QuadratureSpec,
     cantor_stack,
     extract_coefficient,
     mirror_pair,
@@ -33,6 +39,30 @@ DIRICHLET_INTEGRAL = -math.pi**4 / 360.0
 V1_ORACLE = -0.000701448362360904
 V1_REGRESSION = -0.0007014483623612988
 CANTOR1_REGRESSION = -0.10287512106212812  # level 1, outer 1, lambda 5
+MP_PAIRS = {
+    0.5: -0.0022727569398360795,
+    5.0: -0.0239799668301417,
+    1e6: -0.05483080657674049,
+}
+MP_CANTOR = {
+    (0, 0.5): -0.00028409461747950994,
+    (0, 5.0): -0.0029974958537677125,
+    (0, 100.0): -0.006465502282694879,
+    (1, 0.5): -0.004967505556368556,
+    (1, 5.0): -0.10287512106215985,
+    (1, 100.0): -0.47023306878035676,
+    (2, 0.5): -0.046897428625095,
+    (2, 5.0): -1.610571673332193,
+    (2, 100.0): -19.49580384324399,
+    (3, 0.5): -0.3717659013692537,
+    (3, 5.0): -18.182318682770898,
+    (3, 100.0): -593.4530973201253,
+}
+ORACLE_TOL = 1e-12
+
+
+def rel_err(value, ref):
+    return abs(value - ref) / abs(ref)
 
 
 def test_dirichlet_series_oracle():
@@ -169,22 +199,19 @@ class TestStackEnergy:
         # distance would leave -pi^2/1440/1000^3 ~ -7e-12), measured against
         # an evaluation noise floor near 1e-14.
         lam = 5e-4
-        quad = QuadratureSpec(nodes=1024, rel_tol=1e-6, fallback=False)
         left = PlateStack((0.0, 1.0 / 3.0), (lam, lam))
         right = PlateStack((2.0 / 3.0, 1.0), (lam, lam)).translated(1000.0)
         combined = PlateStack(
             left.positions + right.positions, left.couplings + right.couplings
         )
         cross = (
-            stack_energy_per_area(combined, quad)
-            - stack_energy_per_area(left, quad)
-            - stack_energy_per_area(right, quad)
+            stack_energy_per_area(combined)
+            - stack_energy_per_area(left)
+            - stack_energy_per_area(right)
         )
         assert abs(cross) < 1e-12
 
     def test_cross_interaction_decays_with_separation(self):
-        quad = QuadratureSpec(nodes=1024, rel_tol=1e-6, fallback=False)
-
         def cross(sep: float) -> float:
             left = PlateStack((0.0, 1.0 / 3.0), (1.0, 1.0))
             right = PlateStack((2.0 / 3.0, 1.0), (1.0, 1.0)).translated(sep)
@@ -192,9 +219,9 @@ class TestStackEnergy:
                 left.positions + right.positions, left.couplings + right.couplings
             )
             return (
-                stack_energy_per_area(combined, quad)
-                - stack_energy_per_area(left, quad)
-                - stack_energy_per_area(right, quad)
+                stack_energy_per_area(combined)
+                - stack_energy_per_area(left)
+                - stack_energy_per_area(right)
             )
 
         magnitudes = [abs(cross(sep)) for sep in (10.0, 100.0, 1000.0)]
@@ -226,53 +253,54 @@ class TestStackEnergy:
             assert abs(stack_energy_per_area(stack)) < abs(stack_energy_per_area(hard))
 
 
-class TestQuadrature:
-    def test_spec_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(scheme="simpson")
-        with pytest.raises(DomainError):
-            QuadratureSpec(nodes=8)
-        with pytest.raises(DomainError):
-            QuadratureSpec(rel_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(kappa_max=-1.0)
+class TestOracle:
+    @pytest.mark.parametrize("lambda_d", sorted(MP_PAIRS))
+    def test_pair_matches_mpmath(self, lambda_d):
+        e = pair_energy_per_area(2.0 * lambda_d, 2.0 * lambda_d, 0.5)
+        assert rel_err(e, MP_PAIRS[lambda_d]) <= ORACLE_TOL
 
-    def test_node_doubling_within_tolerance(self):
-        stack = cantor_stack(1, 1.0, 2.0)
-        for nodes in (64, 128):
-            e1 = stack_energy_per_area(stack, QuadratureSpec(nodes=nodes))
-            e2 = stack_energy_per_area(stack, QuadratureSpec(nodes=2 * nodes))
-            assert abs(e2 - e1) < 10.0 * 1e-9 * abs(e2)
+    @pytest.mark.parametrize("level,lambda_l", sorted(MP_CANTOR))
+    def test_cantor_matches_mpmath(self, level, lambda_l):
+        e = stack_energy_per_area(cantor_stack(level, 1.0, lambda_l))
+        assert rel_err(e, MP_CANTOR[(level, lambda_l)]) <= ORACLE_TOL
 
-    def test_halving_rel_tol_fixed_scheme(self):
-        stack = cantor_stack(1, 1.0, 2.0)
-        e1 = stack_energy_per_area(stack, QuadratureSpec(rel_tol=1e-6))
-        e2 = stack_energy_per_area(stack, QuadratureSpec(rel_tol=5e-7))
-        assert abs(e2 - e1) <= 1e-6 * abs(e1)
+    @pytest.mark.parametrize("level", [5, 6, 7, 8])
+    def test_deep_weak_levels_are_symmetric(self, level):
+        # The benchmark's probe inputs: lambda*L = 0.5 at levels 5-8.
+        stack = cantor_stack(level, 1.0, 0.5)
+        e = stack_energy_per_area(stack)
+        assert math.isfinite(e) and e < 0.0
+        mirrored = PlateStack(
+            tuple(-z for z in reversed(stack.positions)),
+            tuple(reversed(stack.couplings)),
+        )
+        assert rel_err(stack_energy_per_area(mirrored), e) <= ORACLE_TOL
+        for s in (0.5, 3.0):
+            assert rel_err(stack_energy_per_area(stack.scaled(s)) * s**3, e) <= ORACLE_TOL
 
-    def test_halving_rel_tol_adaptive_scheme(self):
-        stack = cantor_stack(1, 1.0, 2.0)
-        e1 = stack_energy_per_area(stack, QuadratureSpec(scheme="adaptive", rel_tol=1e-6))
-        e2 = stack_energy_per_area(stack, QuadratureSpec(scheme="adaptive", rel_tol=5e-7))
-        assert abs(e2 - e1) <= 1e-6 * abs(e1)
+    def test_born_limit_pair(self):
+        # E -> -lambda^2/(32 pi^2 d); the next Born order is relative
+        # O(lambda*d*ln(1/(lambda*d))), 5e-11 at lambda*d = 1e-12.
+        lam = 1e-12
+        born = -lam * lam / (32.0 * math.pi**2)
+        assert rel_err(pair_energy_per_area(lam, lam, 1.0), born) <= 1e-10
 
-    def test_adaptive_matches_fixed(self):
-        stack = cantor_stack(1, 1.0, 2.0)
-        e_fixed = stack_energy_per_area(stack, QuadratureSpec())
-        e_adaptive = stack_energy_per_area(stack, QuadratureSpec(scheme="adaptive"))
-        assert e_adaptive == pytest.approx(e_fixed, rel=1e-8)
+    def test_coupling_beyond_double_range_is_a_mirror(self):
+        # lambda*d = 1e310 overflows a double; the plates are Dirichlet mirrors.
+        expected = DIRICHLET_INTEGRAL / (4.0 * math.pi**2) / 1e30
+        assert rel_err(pair_energy_per_area(1e300, 1e300, 1e10), expected) <= 1e-12
 
-    def test_unconverged_fixed_rule_raises(self):
-        stack = PlateStack((0.0, 0.4, 1.0), (2.0, 3.0, 1.5))
-        spec = QuadratureSpec(nodes=16, rel_tol=1e-15, fallback=False)
-        with pytest.raises(NumericalError):
-            stack_energy_per_area(stack, spec)
+    def test_unresolved_scales_raise(self):
+        # A 1e6 gap ratio with the interaction carried by the wide gap: the
+        # 2h rule misses it, so the step-halving shift exceeds the tolerance.
+        stack = PlateStack((0.0, 1e-4, 100.0), (1e-8, 1e-8, 1.0))
+        with pytest.raises(NumericalError, match="not converged"):
+            stack_energy_per_area(stack)
 
-    def test_fallback_rescues_coarse_rule(self):
-        stack = PlateStack((0.0, 0.4, 1.0), (2.0, 3.0, 1.5))
-        strict = QuadratureSpec(nodes=16, rel_tol=1e-13, fallback=True)
-        e = stack_energy_per_area(stack, strict)
-        assert e == pytest.approx(stack_energy_per_area(stack), rel=1e-8)
+    def test_overflowing_energy_raises(self):
+        stack = PlateStack((0.0, 1e-120), (1e300, 1e300))
+        with pytest.raises(NumericalError, match="not finite"):
+            stack_energy_per_area(stack)
 
 
 class TestCantorStack:
@@ -352,9 +380,9 @@ class TestExtraction:
         calls = []
         energy = scattering.stack_energy_per_area
 
-        def counting(stack, quad=None):
+        def counting(stack):
             calls.append(len(stack))
-            return energy(stack, quad)
+            return energy(stack)
 
         monkeypatch.setattr(scattering, "stack_energy_per_area", counting)
         extract_coefficient(1, 2.0, np.geomspace(0.25, 4.0, 64))

@@ -2,9 +2,11 @@
 
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
 are rejected so typos fail loudly.  Exit codes: 0 on success, 2 for usage or
-configuration problems, 3 for numerical failures.  Output goes to stdout
-unless ``--out`` names a file; relative output paths are resolved against
-``CASTRACE_OUT_DIR`` when that variable is set.
+configuration problems (an ``--out`` that cannot be written among them), 3
+for numerical failures.  Output goes to stdout unless ``--out`` names a file;
+relative output paths are resolved against ``CASTRACE_OUT_DIR`` when that
+variable is set.  Reports are written in blocks of rows once the results are
+computed, so a run that exits 2 or 3 writes nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 import os
 import re
 import sys
-from itertools import chain
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -186,40 +189,71 @@ def resolve_out(out: str | None) -> Path | None:
     return path
 
 
-def _write(text: str, out_path: Path | None):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text)
+_BLOCK_ROWS = 1024  # rows per formatted and written block
 
 
-def render_report(
+def _table_rows(table: np.ndarray) -> Iterator[list]:
+    """The rows of a 2-D array as lists, converted one block at a time."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        yield from table[start:start + _BLOCK_ROWS].tolist()
+
+
+def report_blocks(
     command: str,
     headers: list[str],
-    rows: list[list],
+    rows: Iterable,
     fmt: str,
     extra: dict | None = None,
-) -> str:
+) -> Iterator[str]:
+    """The text of a report, one block of ``_BLOCK_ROWS`` rows at a time.
+
+    CSV cells are ``%.17g`` with -0.0 written as 0.  JSON is byte-identical
+    to ``json.dumps(payload, indent=2)`` for the payload {"command", **extra,
+    "rows"} with each row an object keyed by ``headers``.
+    """
+    rows = iter(rows)
+    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
     if fmt == "csv":
-        lines = [",".join(headers)]
-        lines.extend(",".join(_format_cell(v) for v in row) for row in rows)
-        return "\n".join(lines) + "\n"
+        yield ",".join(headers) + "\n"
+        for block in blocks:
+            yield "".join(",".join(map(_format_cell, row)) + "\n" for row in block)
+        return
     # The bytes of json.dumps(payload, indent=2) with the rows as objects,
-    # written row by row: the header comes from json.dumps with empty rows.
+    # written a block at a time: the header comes from json.dumps with empty
+    # rows and each row fills one %-template.
     # str() of a float or an int is the repr json writes for it (callers
     # guarantee finite floats); any other cell goes through json.dumps.
     head = json.dumps({"command": command, **(extra or {}), "rows": []}, indent=2)
-    if not rows:
-        return head + "\n"
-    if not set(map(type, chain.from_iterable(rows))) <= {float, int}:
-        rows = [[v if type(v) in (float, int) else json.dumps(v) for v in row] for row in rows]
     fields = ",\n".join(
         "      " + json.dumps(h).replace("%", "%%") + ": %s" for h in headers
     )
     template = "    {\n" + fields + "\n    }"
-    body = ",\n".join(template % tuple(row) for row in rows)
-    return head[: -len("[]\n}")] + "[\n" + body + "\n  ]\n}\n"
+    opening = head[: -len("[]\n}")] + "[\n"
+    separator = opening
+    for block in blocks:
+        if not set(map(type, chain.from_iterable(block))) <= {float, int}:
+            block = [[v if type(v) in (float, int) else json.dumps(v) for v in row] for row in block]
+        yield separator + ",\n".join(template % tuple(row) for row in block)
+        separator = ",\n"
+    yield head + "\n" if separator is opening else "\n  ]\n}\n"
+
+
+def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
+    """Write text chunks to ``out_path``, creating its parents, or to stdout.
+
+    Every command calls this once its results are computed, so a run that
+    fails writes nothing.  An ``out_path`` that cannot be created or written
+    is a ConfigError.
+    """
+    if out_path is None:
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        with open(out_path, "w") as out:
+            out.writelines(chunks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {str(out_path)!r}: {exc}") from exc
 
 
 def _fit_payload(fit: FitResult) -> dict:
@@ -264,10 +298,13 @@ def run_trace(args) -> int:
         "vacuum_trace", "thermal_trace", "total_trace", "ricci",
     ]
     rep = trace_report(model, thermal, grid, g_newton)
-    rows = np.column_stack(
+    table = np.column_stack(
         [np.broadcast_to(getattr(rep, name), grid.shape) for name in headers]
-    ).tolist()
-    _write(render_report("trace", headers, rows, args.format), resolve_out(args.out))
+    )
+    write_output(
+        resolve_out(args.out),
+        report_blocks("trace", headers, _table_rows(table), args.format),
+    )
     return 0
 
 
@@ -300,7 +337,7 @@ def run_stack(args) -> int:
     energy = stack_energy_per_area(stack)
     headers = ["plates", "min_gap", "span", "energy_per_area"]
     rows = [[len(stack), stack.min_gap, stack.span, energy]]
-    _write(render_report("stack", headers, rows, args.format), resolve_out(args.out))
+    write_output(resolve_out(args.out), report_blocks("stack", headers, rows, args.format))
     return 0
 
 
@@ -317,13 +354,6 @@ def run_extract(args) -> int:
     schema.finish()
 
     result = extract_coefficient(level, lambda_hat, grid, gauge, reduction)
-    rows = [
-        [d, c, s, t]
-        for d, c, s, t in zip(
-            result.d_grid, result.c_values, result.logderivs, result.traces
-        )
-    ]
-    headers = ["d", "c", "dc_dlnd", "trace"]
 
     fit = None
     if fit_harmonics is not None:
@@ -337,17 +367,20 @@ def run_extract(args) -> int:
         fit = fit_log_periodic(x, result.c_values, cfg)
 
     out_path = resolve_out(args.out)
+    headers = ["d", "c", "dc_dlnd", "trace"]
+    rows = zip(result.d_grid, result.c_values, result.logderivs, result.traces)
     if args.format == "json":
         extra = {"fit": _fit_payload(fit)} if fit is not None else None
-        _write(render_report("extract", headers, rows, "json", extra), out_path)
+        write_output(out_path, report_blocks("extract", headers, rows, "json", extra))
+        return 0
+    report = report_blocks("extract", headers, rows, "csv")
+    sidecar = [] if fit is None else [json.dumps(_fit_payload(fit), indent=2) + "\n"]
+    if out_path is None:
+        write_output(None, chain(report, sidecar))
     else:
-        _write(render_report("extract", headers, rows, "csv"), out_path)
-        if fit is not None:
-            fit_text = json.dumps(_fit_payload(fit), indent=2) + "\n"
-            if out_path is None:
-                sys.stdout.write(fit_text)
-            else:
-                _write(fit_text, out_path.with_suffix(".fit.json"))
+        write_output(out_path, report)
+        if sidecar:
+            write_output(out_path.with_suffix(".fit.json"), sidecar)
     return 0
 
 
@@ -375,8 +408,9 @@ def run_fit(args) -> int:
     fit = fit_log_periodic(np.log(d / ell_star), c, cfg)
     payload = _fit_payload(fit)
 
+    out_path = resolve_out(args.out)
     if args.format == "json":
-        text = json.dumps({"command": "fit", **payload}, indent=2) + "\n"
+        write_output(out_path, [json.dumps({"command": "fit", **payload}, indent=2) + "\n"])
     else:
         headers = ["name", "value"]
         rows: list[list] = [
@@ -389,8 +423,7 @@ def run_fit(args) -> int:
         for k, (a, b) in enumerate(fit.model.harmonics, start=1):
             rows.append([f"a{k}", a])
             rows.append([f"b{k}", b])
-        text = render_report("fit", headers, rows, "csv")
-    _write(text, resolve_out(args.out))
+        write_output(out_path, report_blocks("fit", headers, rows, "csv"))
     return 0
 
 
@@ -442,9 +475,8 @@ def run_design(args) -> int:
             [n, ell, lower_ok, upper_ok, in_window(spec, separation, margin), n_min]
         )
     extra = {"min_level": n_min, "margin": margin}
-    _write(
-        render_report("design", headers, rows, args.format, extra),
-        resolve_out(args.out),
+    write_output(
+        resolve_out(args.out), report_blocks("design", headers, rows, args.format, extra)
     )
     return 0
 

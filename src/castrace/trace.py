@@ -154,11 +154,6 @@ class ThermalState:
     p_th: float
     trace: float
 
-    @classmethod
-    def from_density(cls, rho_th: float, d_s: float) -> "ThermalState":
-        """Build directly from an energy density (unit spectral volume)."""
-        return thermal_state(rho_th, 1.0, d_s)
-
 
 @dataclass(frozen=True)
 class TraceReport:
@@ -260,12 +255,14 @@ def trace_report(
     Raises NumericalError when a column is not finite, as when d^4
     underflows to zero.
     """
+    # numpy float division gives inf where Python float division raises.
+    x = np.float64(d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        stress = vacuum_stress(model, d)
+        stress = vacuum_stress(model, x)
         total = thermal.trace + stress.trace
         report = TraceReport(
             d=d,
-            e=energy_per_area(model, d),
+            e=energy_per_area(model, x),
             rho_vac=stress.rho_vac,
             p_perp=stress.p_perp,
             p_parallel=stress.p_parallel,

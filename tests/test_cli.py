@@ -5,13 +5,21 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from castrace.cli import main, parse_config_text, render_report
+from castrace.cli import (
+    _BLOCK_ROWS,
+    _table_rows,
+    main,
+    parse_config_text,
+    report_blocks,
+    write_output,
+)
 
 FLAT_C0 = repr(-math.pi**2 / 720.0)
 
@@ -413,6 +421,42 @@ class TestOutputPlumbing:
     def test_missing_config_is_usage_error(self, capsys):
         assert main(["trace", "--config", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize("where", ["directory", "under-file"])
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 2\n")
+        (tmp_path / "file").write_text("")
+        out = tmp_path if where == "directory" else tmp_path / "file" / "t.csv"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output ")
+
+    def test_failed_run_creates_no_file(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, "t.cfg", "c0 = -0.0137\nd_min = 1e-100\nd_max = 1e-99\npoints = 3\n"
+        )
+        out = tmp_path / "sub" / "t.csv"
+        assert main(["trace", "--config", cfg, "--out", str(out)]) == 3
+        assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_memory_stays_flat(self, tmp_path, fmt):
+        # Built whole, as Python row lists and one string, this report peaks
+        # at ~50 MB (CSV) and ~70 MB (JSON); written in blocks, the peak is
+        # the result arrays plus one block, ~8 MB.
+        cfg = write_config(
+            tmp_path, "t.cfg",
+            "c0 = -0.0137\na1 = 0.1\nb1 = -0.2\na2 = 0.05\nb3 = 0.1\nrho_th = 0.3\n"
+            "d_s = 2\nd_min = 0.1\nd_max = 10\npoints = 50000\n",
+        )
+        out = tmp_path / f"t.{fmt}"
+        tracemalloc.start()
+        try:
+            assert main(["trace", "--config", cfg, "--out", str(out), "--format", fmt]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stat().st_size > 50000 * 9 * 10
+        assert peak <= 16 * 2**20
+
     def test_seventeen_digit_serialization(self, tmp_path):
         cfg = write_config(
             tmp_path, "t.cfg",
@@ -492,11 +536,63 @@ class TestJsonWriter:
         written = out.read_text()
         assert written == json.dumps(json.loads(written), indent=2) + "\n"
 
-    def test_empty_rows(self):
+    def test_empty_rows(self, tmp_path):
         extra = {"margin": 10.0, "fit": {"harmonics": [[0.1, -0.2]]}}
-        text = render_report("design", ["n", "ok"], [], "json", extra)
+        out = tmp_path / "out.json"
+        write_output(out, report_blocks("design", ["n", "ok"], [], "json", extra))
         payload = {"command": "design", **extra, "rows": []}
-        assert text == json.dumps(payload, indent=2) + "\n"
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+
+def reference_csv(headers, rows):
+    def cell(v):
+        if isinstance(v, bool):
+            return "true" if v else "false"
+        if isinstance(v, int):
+            return str(v)
+        return f"{v + 0.0:.17g}"
+
+    lines = [",".join(headers)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(command, headers, rows, extra):
+    payload = {"command": command, **extra, "rows": [dict(zip(headers, r)) for r in rows]}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def float_table(n):
+    rng = np.random.default_rng(n)
+    table = rng.standard_normal((n, 3)) * np.array([1e-200, 1.0, 1e200])
+    if n:
+        table[0, 1] = -0.0
+    return table
+
+
+def mixed_rows(n):
+    # Cells typed like the design report's: int, float, three bools, int.
+    return [[k, 3.0**-k, k % 2 == 0, k % 3 == 0, k % 5 == 0, 7] for k in range(n)]
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize(
+        "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_boundaries(self, tmp_path, fmt, n):
+        cases = [
+            (["x", "y%", "z"], _table_rows(float_table(n)), float_table(n).tolist()),
+            (["n", "ell", "lo", "hi", "ok", "min"], iter(mixed_rows(n)), mixed_rows(n)),
+        ]
+        extra = {"min_level": 7, "margin": 10.0}
+        for headers, rows, expected_rows in cases:
+            out = tmp_path / f"out.{fmt}"
+            write_output(out, report_blocks("design", headers, rows, fmt, extra))
+            if fmt == "csv":
+                expected = reference_csv(headers, expected_rows)
+            else:
+                expected = reference_json("design", headers, expected_rows, extra)
+            assert out.read_text() == expected
 
 
 def test_cli_import_leaves_scipy_unloaded():

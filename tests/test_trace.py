@@ -9,6 +9,7 @@ import pytest
 from castrace import (
     CoefficientModel,
     DomainError,
+    NumericalError,
     SpectralParams,
     TraceReport,
     energy_per_area,
@@ -367,6 +368,11 @@ class TestTraceReport:
         assert rep.total_trace == rep.thermal_trace + rep.vacuum_trace
         assert rep.ricci == -8.0 * math.pi * 2.0 * rep.total_trace
         assert rep.p_parallel == -rep.rho_vac
+
+    def test_scalar_underflow_is_numerical_error(self):
+        # d^4 = 1e-400 underflows to zero, as in the array case.
+        with pytest.raises(NumericalError):
+            trace_report(CoefficientModel(-0.0137), thermal_state(0, 1, 3), 1e-100)
 
     def test_array_matches_scalar_calls(self):
         # numpy's vectorised pow may differ from the scalar libm pow by an

@@ -25,7 +25,7 @@ import numpy as np
 
 from .design import PrefractalSpec, in_window, min_feature, min_level
 from .errors import CastraceError, ConfigError, DomainError, NumericalError
-from .logfit import FitConfig, FitResult, fit_log_periodic
+from .logfit import FitConfig, fit_log_periodic
 from .scattering import PlateStack, cantor_stack, extract_coefficient, stack_energy_per_area
 from .trace import CoefficientModel, thermal_state, trace_report
 
@@ -101,17 +101,6 @@ class Schema:
                 raise ConfigError(f"key {key!r}: not an integer: {value!r}") from exc
         return value
 
-    def take_bool(self, key: str, default=_REQUIRED) -> bool:
-        value = self._raw(key, default)
-        if isinstance(value, str):
-            lowered = value.lower()
-            if lowered in ("true", "yes", "1"):
-                return True
-            if lowered in ("false", "no", "0"):
-                return False
-            raise ConfigError(f"key {key!r}: not a boolean: {value!r}")
-        return value
-
     def take_float_list(self, key: str, default=_REQUIRED) -> tuple[float, ...]:
         value = self._raw(key, default)
         if isinstance(value, str):
@@ -149,11 +138,11 @@ def load_config(path: str) -> Schema:
     return Schema(parse_config_text(text))
 
 
-def _sweep(schema: Schema, default_spacing: str = "log") -> np.ndarray:
+def _sweep(schema: Schema) -> np.ndarray:
     d_min = schema.take_float("d_min")
     d_max = schema.take_float("d_max")
     points = schema.take_int("points")
-    spacing = schema.take_str("spacing", default_spacing, choices=("linear", "log"))
+    spacing = schema.take_str("spacing", "log", choices=("linear", "log"))
     if not 0.0 < d_min < math.inf:
         raise ConfigError(f"d_min must be positive and finite, got {d_min}")
     if not d_min < d_max < math.inf:
@@ -256,18 +245,6 @@ def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
         raise ConfigError(f"cannot write output {str(out_path)!r}: {exc}") from exc
 
 
-def _fit_payload(fit: FitResult) -> dict:
-    return {
-        "c0": fit.model.c0,
-        "period": fit.model.period,
-        "ell_star": fit.model.ell_star,
-        "harmonics": [list(pair) for pair in fit.model.harmonics],
-        "residual_rms": fit.residual_rms,
-        "span_warning": fit.span_warning,
-        "residuals": list(fit.residuals),
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -281,14 +258,7 @@ def run_trace(args) -> int:
         ell_star=schema.take_float("ell_star", 1.0),
     )
     d_s = schema.take_float("d_s", 3.0)
-    if schema.has("rho_th") and (schema.has("u_th") or schema.has("v_s")):
-        raise ConfigError("give either rho_th or the u_th/v_s pair, not both")
-    if schema.has("rho_th"):
-        thermal = thermal_state(schema.take_float("rho_th"), 1.0, d_s)
-    else:
-        thermal = thermal_state(
-            schema.take_float("u_th", 0.0), schema.take_float("v_s", 1.0), d_s
-        )
+    thermal = thermal_state(schema.take_float("rho_th", 0.0), 1.0, d_s)
     g_newton = schema.take_float("g_newton", 1.0)
     grid = _sweep(schema)
     schema.finish()
@@ -348,39 +318,12 @@ def run_extract(args) -> int:
     gauge = schema.take_str("gauge", "min", choices=("min", "outer"))
     reduction = schema.take_float("reduction", 3.0)
     grid = _sweep(schema)
-    fit_harmonics = schema.take_int("fit_harmonics", None)
-    ell_star = schema.take_float("ell_star", 1.0)
-    ridge = schema.take_float("ridge", 0.0)
     schema.finish()
 
     result = extract_coefficient(level, lambda_hat, grid, gauge, reduction)
-
-    fit = None
-    if fit_harmonics is not None:
-        cfg = FitConfig(
-            period=math.log(reduction),
-            max_harmonics=fit_harmonics,
-            regularization=ridge,
-            ell_star=ell_star,
-        )
-        x = np.log(np.asarray(result.d_grid) / ell_star)
-        fit = fit_log_periodic(x, result.c_values, cfg)
-
-    out_path = resolve_out(args.out)
     headers = ["d", "c", "dc_dlnd", "trace"]
     rows = zip(result.d_grid, result.c_values, result.logderivs, result.traces)
-    if args.format == "json":
-        extra = {"fit": _fit_payload(fit)} if fit is not None else None
-        write_output(out_path, report_blocks("extract", headers, rows, "json", extra))
-        return 0
-    report = report_blocks("extract", headers, rows, "csv")
-    sidecar = [] if fit is None else [json.dumps(_fit_payload(fit), indent=2) + "\n"]
-    if out_path is None:
-        write_output(None, chain(report, sidecar))
-    else:
-        write_output(out_path, report)
-        if sidecar:
-            write_output(out_path.with_suffix(".fit.json"), sidecar)
+    write_output(resolve_out(args.out), report_blocks("extract", headers, rows, args.format))
     return 0
 
 
@@ -392,7 +335,10 @@ def run_fit(args) -> int:
     if schema.has("period"):
         period = schema.take_float("period")
     elif schema.has("reduction"):
-        period = math.log(schema.take_float("reduction"))
+        reduction = schema.take_float("reduction")
+        if not 1.0 < reduction < math.inf:
+            raise ConfigError(f"reduction must be above 1 and finite, got {reduction}")
+        period = math.log(reduction)
     else:
         raise ConfigError("missing required key 'period' (or 'reduction')")
     max_harmonics = schema.take_int("max_harmonics")
@@ -406,11 +352,20 @@ def run_fit(args) -> int:
         regularization=ridge, ell_star=ell_star,
     )
     fit = fit_log_periodic(np.log(d / ell_star), c, cfg)
-    payload = _fit_payload(fit)
 
     out_path = resolve_out(args.out)
     if args.format == "json":
-        write_output(out_path, [json.dumps({"command": "fit", **payload}, indent=2) + "\n"])
+        payload = {
+            "command": "fit",
+            "c0": fit.model.c0,
+            "period": fit.model.period,
+            "ell_star": fit.model.ell_star,
+            "harmonics": [list(pair) for pair in fit.model.harmonics],
+            "residual_rms": fit.residual_rms,
+            "span_warning": fit.span_warning,
+            "residuals": list(fit.residuals),
+        }
+        write_output(out_path, [json.dumps(payload, indent=2) + "\n"])
     else:
         headers = ["name", "value"]
         rows: list[list] = [
@@ -428,7 +383,7 @@ def run_fit(args) -> int:
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read the (d, c) columns of an extract CSV."""
+    """Read the (d, c) columns of an extract CSV; d > 0 and finite, c finite."""
     try:
         lines = Path(path).read_text().strip().splitlines()
     except OSError as exc:
@@ -451,7 +406,15 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
             c_vals.append(float(cells[c_col]))
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"input {path!r} line {lineno}: bad row {line!r}") from exc
-    return np.asarray(d_vals), np.asarray(c_vals)
+    d, c = np.asarray(d_vals), np.asarray(c_vals)
+    bad = ~((d > 0.0) & np.isfinite(d) & np.isfinite(c))
+    if bad.any():
+        lineno = int(np.argmax(bad)) + 2
+        raise ConfigError(
+            f"input {path!r} line {lineno}: d must be positive and finite and c "
+            f"finite, got {lines[lineno - 1]!r}"
+        )
+    return d, c
 
 
 def run_design(args) -> int:
@@ -459,8 +422,7 @@ def run_design(args) -> int:
     outer = schema.take_float("outer")
     reduction = schema.take_float("reduction")
     separation = schema.take_float("separation")
-    config_margin = schema.take_float("margin", 10.0)
-    margin = args.margin if args.margin is not None else config_margin
+    margin = schema.take_float("margin", 10.0)
     schema.finish()
 
     n_min = min_level(outer, separation, reduction)
@@ -515,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("design", help="prefractal scaling-window report")
     common(p)
-    p.add_argument("--margin", type=float, default=None,
-                   help="upper-window margin, overrides the config key (default 10)")
     p.set_defaults(func=run_design)
     return parser
 

@@ -69,15 +69,17 @@ def fit_log_periodic(
 ) -> FitResult:
     """Fit C values sampled at log-separations x to the periodic model.
 
-    Needs at least 2K+1 points.  Raises a numerical error when the normal
-    equations are singular (all x equal, say) or when the fitted base
-    coefficient vanishes under nonzero harmonics, which leaves the
-    relative amplitudes undefined.
+    Needs at least 2K+1 points, all finite (a domain error otherwise).
+    Raises a numerical error when the normal equations are singular (all x
+    equal, say) or when the fitted base coefficient vanishes under nonzero
+    harmonics, which leaves the relative amplitudes undefined.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
     if x.shape != c.shape or x.ndim != 1:
         raise ConfigError("x and c must be one-dimensional and equally long")
+    if not (np.isfinite(x).all() and np.isfinite(c).all()):
+        raise DomainError("x and c must be finite")
     k_max = cfg.max_harmonics
     n_params = 2 * k_max + 1
     if x.size < n_params:

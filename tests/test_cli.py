@@ -1,8 +1,10 @@
 """Command line front end: configs, formats, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,9 +14,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import castrace.cli
 from castrace.cli import (
     _BLOCK_ROWS,
+    _HARMONIC_KEY,
     _table_rows,
+    build_parser,
     main,
     parse_config_text,
     report_blocks,
@@ -119,13 +124,6 @@ class TestTraceCommand:
         cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 2\nd_max = 1\npoints = 5\n")
         assert main(["trace", "--config", cfg]) == 2
 
-    def test_rho_and_uth_conflict(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, "t.cfg",
-            "c0 = 1\nrho_th = 1\nu_th = 1\nv_s = 1\nd_min = 1\nd_max = 2\npoints = 2\n",
-        )
-        assert main(["trace", "--config", cfg]) == 2
-
     def test_repeat_runs_identical_bytes(self, tmp_path):
         cfg = write_config(
             tmp_path, "t.cfg",
@@ -213,35 +211,39 @@ class TestExtractCommand:
             assert abs(t) < 1e-8
 
     def test_fit_block_sidecar(self, tmp_path):
-        cfg = write_config(
+        # The fit of an extracted curve is the fit command run on its CSV.
+        cfg_e = write_config(
             tmp_path, "e.cfg",
-            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 5\n"
-            "fit_harmonics = 0\n",
+            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 5\n",
         )
-        out = tmp_path / "e.csv"
-        assert main(["extract", "--config", cfg, "--out", str(out)]) == 0
-        fit = json.loads((tmp_path / "e.fit.json").read_text())
+        curve = tmp_path / "e.csv"
+        assert main(["extract", "--config", cfg_e, "--out", str(curve)]) == 0
+        assert not (tmp_path / "e.fit.json").exists()
+        cfg_f = write_config(
+            tmp_path, "f.cfg", f"input = {curve}\nreduction = 3\nmax_harmonics = 0\n"
+        )
+        out = tmp_path / "f.json"
+        assert main(["fit", "--config", cfg_f, "--out", str(out), "--format", "json"]) == 0
+        fit = json.loads(out.read_text())
         assert fit["c0"] == pytest.approx(-0.0007014483623609125, rel=1e-8)
         assert fit["harmonics"] == []
 
     def test_json_format_with_fit(self, tmp_path):
         cfg = write_config(
             tmp_path, "e.cfg",
-            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 5\n"
-            "fit_harmonics = 1\n",
+            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 5\n",
         )
         out = tmp_path / "e.json"
         assert main(["extract", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["command"] == "extract"
-        assert len(payload["fit"]["harmonics"]) == 1
+        assert "fit" not in payload
         assert len(payload["rows"]) == 5
 
     def test_two_point_grid_with_fit_is_usage_error(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path, "e.cfg",
-            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 2\n"
-            "fit_harmonics = 0\n",
+            "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 2\n",
         )
         assert main(["extract", "--config", cfg]) == 2
 
@@ -292,11 +294,13 @@ class TestFitCommand:
         assert main(["fit", "--config", cfg]) == 2
 
     @pytest.mark.parametrize(
-        "key,value", [("period", "nan"), ("period", "inf"), ("ell_star", "inf"), ("ridge", "nan")]
+        "key,value",
+        [("period", "nan"), ("period", "inf"), ("ell_star", "inf"), ("ridge", "nan"),
+         ("reduction", "0"), ("reduction", "-1")],
     )
     def test_non_finite_fit_keys_are_usage_errors(self, tmp_path, capsys, key, value):
         curve = self.make_curve(tmp_path)
-        period = "" if key == "period" else f"period = {math.log(3.0)!r}\n"
+        period = "" if key in ("period", "reduction") else f"period = {math.log(3.0)!r}\n"
         cfg = write_config(
             tmp_path, "f.cfg",
             f"input = {curve}\n{period}{key} = {value}\nmax_harmonics = 1\n",
@@ -307,6 +311,26 @@ class TestFitCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "d,c", [("0", "1"), ("-1", "1"), ("nan", "1"), ("inf", "1"), ("1", "nan"), ("1", "inf")]
+    )
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_bad_curve_rows_are_usage_errors(self, tmp_path, capsys, d, c, k):
+        curve = self.make_curve(tmp_path)
+        lines = curve.read_text().splitlines()
+        lines[20] = f"{d},{c}"
+        curve.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, "f.cfg", f"input = {curve}\nreduction = 3\nmax_harmonics = {k}\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "line 21" in captured.err
 
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(
@@ -344,16 +368,19 @@ class TestDesignCommand:
         assert main(["design", "--config", cfg]) == 2
 
     def test_margin_flag_overrides_config(self, tmp_path):
+        # The margin is set by its config key only; there is no --margin flag.
         cfg = write_config(
             tmp_path, "d.cfg",
-            "outer = 1\nreduction = 3\nseparation = 0.3\nmargin = 10\n",
+            "outer = 1\nreduction = 3\nseparation = 0.3\nmargin = 2\n",
         )
         out = tmp_path / "d.json"
-        assert main(["design", "--config", cfg, "--out", str(out),
-                     "--format", "json", "--margin", "2"]) == 0
+        assert main(["design", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["margin"] == 2.0
         assert any(r["in_window"] for r in payload["rows"])
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "--config", cfg, "--margin", "2"])
+        assert exc.value.code == 2
 
 
 class TestRoundTrip:
@@ -511,15 +538,31 @@ def test_threads_flag_removed(tmp_path, capsys, command):
     assert exc.value.code == 2
 
 
+REMOVED_KEY_CONFIGS = {
+    "trace": "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3\n",
+    "extract": "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 3\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command,key",
+    [("trace", "u_th"), ("trace", "v_s"),
+     ("extract", "fit_harmonics"), ("extract", "ell_star"), ("extract", "ridge")],
+)
+def test_removed_config_keys(tmp_path, capsys, command, key):
+    cfg = write_config(tmp_path, "c.cfg", f"{REMOVED_KEY_CONFIGS[command]}{key} = 1\n")
+    assert main([command, "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key" in captured.err
+
+
 JSON_CONFIGS = {
     "trace": ("trace", "c0 = -0.5\na1 = 0.1\nb3 = 0.05\nrho_th = 0.3\nd_s = 2\n"
                        "d_min = 0.2\nd_max = 5\npoints = 37\n"),
     "design": ("design", "outer = 1\nreduction = 3\nseparation = 0.01\n"),
     "stack": ("stack", "level = 2\nouter = 1.5\ncoupling = 5\n"),
-    "extract-fit": (
-        "extract",
-        "level = 1\nlambda_hat = 2\nd_min = 0.5\nd_max = 2\npoints = 6\nfit_harmonics = 1\n",
-    ),
+    "extract": ("extract", "level = 1\nlambda_hat = 2\nd_min = 0.5\nd_max = 2\npoints = 6\n"),
 }
 
 
@@ -604,3 +647,47 @@ def test_cli_import_leaves_scipy_unloaded():
         timeout=60, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def reference_tables(path):
+    """First-column names of each markdown table, keyed by its header cell."""
+    tables: dict[str, set[str]] = {}
+    header = None
+    for line in path.read_text().splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        first = re.split(r"(?<!\\)\|", line)[1].strip()
+        if header is None:
+            header = first
+        elif not first.startswith("---"):
+            names = re.findall(r"`([^`]+)`", first)
+            tables.setdefault(header, set()).update(name.split()[0] for name in names)
+    return tables
+
+
+def test_config_reference_matches_cli():
+    # Every config key and flag the CLI reads is documented, and no row of
+    # the reference names one it does not read.
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config_reference.md"
+    tables = reference_tables(doc)
+
+    documented_keys = {
+        "<harmonic>" if _HARMONIC_KEY.match(name.split("..")[0]) else name
+        for name in tables["key"]
+    }
+    source = Path(castrace.cli.__file__).read_text()
+    code_keys = set(re.findall(r"\.(?:take_\w+|has)\(\s*\"(\w+)\"", source))
+    if "take_harmonics()" in source:
+        code_keys.add("<harmonic>")
+    assert documented_keys == code_keys
+
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        option
+        for sub in subparsers.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    assert tables["flag"] == flags

@@ -92,6 +92,17 @@ class TestFitLogPeriodic:
         with pytest.raises(ConfigError):
             fit_log_periodic(x, np.ones_like(x), FitConfig(PERIOD, 2))
 
+    @pytest.mark.parametrize("bad", ["x-nan", "x-inf", "c-nan", "c-inf"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_non_finite_samples_rejected(self, bad, k):
+        x = np.linspace(0.0, 2 * PERIOD, 16)
+        c = 1.0 + 0.1 * np.cos(2 * np.pi * x / PERIOD)
+        which, value = bad.split("-")
+        (x if which == "x" else c)[5] = float(value)
+        with pytest.raises(DomainError):
+            fit_log_periodic(x, c, FitConfig(PERIOD, k))
+        assert np.isnan(period_scan(x, c, [PERIOD], max_harmonics=k)).all()
+
     def test_singular_when_x_identical(self):
         x = np.zeros(16)
         with pytest.raises(NumericalError):

@@ -6,7 +6,9 @@ configuration problems (an ``--out`` that cannot be written among them), 3
 for numerical failures.  Output goes to stdout unless ``--out`` names a file;
 relative output paths are resolved against ``CASTRACE_OUT_DIR`` when that
 variable is set.  Reports are written in blocks of rows once the results are
-computed, so a run that exits 2 or 3 writes nothing.
+computed, so a run that exits 2 or 3 writes nothing: each ``run_*`` function
+takes a config and a format and returns the report's text chunks, and
+``main`` is the one place that reads the config and writes the output.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .design import PrefractalSpec, in_window, min_feature, min_level
+from .design import PrefractalSpec, check_margin, in_window, min_feature, min_level
 from .errors import CastraceError, ConfigError, DomainError, NumericalError
 from .logfit import FitConfig, fit_log_periodic
 from .scattering import PlateStack, cantor_stack, extract_coefficient, stack_energy_per_area
@@ -68,54 +70,25 @@ class Schema:
     def has(self, key: str) -> bool:
         return key in self._entries
 
-    def _raw(self, key: str, default):
-        if key in self._entries:
-            return self._entries.pop(key)
-        if default is _REQUIRED:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-
-    def take_str(self, key: str, default=_REQUIRED, choices: tuple[str, ...] | None = None) -> str:
-        value = self._raw(key, default)
-        if choices is not None and value not in choices:
-            raise ConfigError(
-                f"key {key!r}: expected one of {', '.join(choices)}, got {value!r}"
-            )
-        return value
-
-    def take_float(self, key: str, default=_REQUIRED) -> float:
-        value = self._raw(key, default)
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: not a number: {value!r}") from exc
-        return value
-
-    def take_int(self, key: str, default=_REQUIRED) -> int:
-        value = self._raw(key, default)
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: not an integer: {value!r}") from exc
-        return value
-
-    def take_float_list(self, key: str, default=_REQUIRED) -> tuple[float, ...]:
-        value = self._raw(key, default)
-        if isinstance(value, str):
-            try:
-                return tuple(float(item) for item in value.split(",") if item.strip())
-            except ValueError as exc:
-                raise ConfigError(f"key {key!r}: not a number list: {value!r}") from exc
-        return value
+    def take(self, key: str, default=_REQUIRED, parse=float):
+        """Pop ``key`` and parse its text; an absent key gives ``default`` as is."""
+        if key not in self._entries:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        text = self._entries.pop(key)
+        try:
+            return parse(text)
+        except ValueError as exc:
+            reason = f"not {_NOT_A[parse]}: {text!r}" if parse in _NOT_A else exc
+            raise ConfigError(f"key {key!r}: {reason}") from exc
 
     def take_harmonics(self) -> tuple[tuple[float, float], ...]:
         """Collect a1..aK / b1..bK amplitude keys into (a_k, b_k) pairs."""
         found: dict[tuple[str, int], float] = {}
         for key in [k for k in self._entries if _HARMONIC_KEY.match(k)]:
             kind, index = _HARMONIC_KEY.match(key).groups()
-            found[(kind, int(index))] = self.take_float(key)
+            found[(kind, int(index))] = self.take(key)
         if not found:
             return ()
         k_max = max(index for _, index in found)
@@ -130,6 +103,21 @@ class Schema:
             raise ConfigError(f"unknown config key(s): {unknown}")
 
 
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(item) for item in text.split(",") if item.strip())
+
+
+_NOT_A = {float: "a number", int: "an integer", _float_list: "a number list"}
+
+
+def _one_of(*choices: str):
+    def parse(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
 def load_config(path: str) -> Schema:
     try:
         text = Path(path).read_text()
@@ -139,10 +127,10 @@ def load_config(path: str) -> Schema:
 
 
 def _sweep(schema: Schema) -> np.ndarray:
-    d_min = schema.take_float("d_min")
-    d_max = schema.take_float("d_max")
-    points = schema.take_int("points")
-    spacing = schema.take_str("spacing", "log", choices=("linear", "log"))
+    d_min = schema.take("d_min")
+    d_max = schema.take("d_max")
+    points = schema.take("points", parse=int)
+    spacing = schema.take("spacing", "log", _one_of("linear", "log"))
     if not 0.0 < d_min < math.inf:
         raise ConfigError(f"d_min must be positive and finite, got {d_min}")
     if not d_min < d_max < math.inf:
@@ -230,9 +218,9 @@ def report_blocks(
 def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
     """Write text chunks to ``out_path``, creating its parents, or to stdout.
 
-    Every command calls this once its results are computed, so a run that
-    fails writes nothing.  An ``out_path`` that cannot be created or written
-    is a ConfigError.
+    ``main`` calls this, and only once a command has computed its results,
+    so a run that fails writes nothing.  An ``out_path`` that cannot be
+    created or written is a ConfigError.
     """
     if out_path is None:
         sys.stdout.writelines(chunks)
@@ -249,17 +237,16 @@ def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
 # subcommands
 
 
-def run_trace(args) -> int:
-    schema = load_config(args.config)
+def run_trace(schema: Schema, fmt: str) -> Iterable[str]:
     model = CoefficientModel(
-        c0=schema.take_float("c0"),
-        period=schema.take_float("period", math.log(3.0)),
+        c0=schema.take("c0"),
+        period=schema.take("period", math.log(3.0)),
         harmonics=schema.take_harmonics(),
-        ell_star=schema.take_float("ell_star", 1.0),
+        ell_star=schema.take("ell_star", 1.0),
     )
-    d_s = schema.take_float("d_s", 3.0)
-    thermal = thermal_state(schema.take_float("rho_th", 0.0), 1.0, d_s)
-    g_newton = schema.take_float("g_newton", 1.0)
+    d_s = schema.take("d_s", 3.0)
+    thermal = thermal_state(schema.take("rho_th", 0.0), 1.0, d_s)
+    g_newton = schema.take("g_newton", 1.0)
     grid = _sweep(schema)
     schema.finish()
 
@@ -271,11 +258,7 @@ def run_trace(args) -> int:
     table = np.column_stack(
         [np.broadcast_to(getattr(rep, name), grid.shape) for name in headers]
     )
-    write_output(
-        resolve_out(args.out),
-        report_blocks("trace", headers, _table_rows(table), args.format),
-    )
-    return 0
+    return report_blocks("trace", headers, _table_rows(table), fmt)
 
 
 def _stack_from_schema(schema: Schema) -> PlateStack:
@@ -287,63 +270,58 @@ def _stack_from_schema(schema: Schema) -> PlateStack:
         )
     if explicit:
         return PlateStack(
-            schema.take_float_list("positions"),
-            schema.take_float_list("couplings"),
+            schema.take("positions", parse=_float_list),
+            schema.take("couplings", parse=_float_list),
         )
     if generated:
         return cantor_stack(
-            level=schema.take_int("level"),
-            outer=schema.take_float("outer"),
-            lam=schema.take_float("coupling"),
-            b=schema.take_float("reduction", 3.0),
+            level=schema.take("level", parse=int),
+            outer=schema.take("outer"),
+            lam=schema.take("coupling"),
+            b=schema.take("reduction", 3.0),
         )
     raise ConfigError("missing stack definition: positions/couplings or level/outer/coupling")
 
 
-def run_stack(args) -> int:
-    schema = load_config(args.config)
+def run_stack(schema: Schema, fmt: str) -> Iterable[str]:
     stack = _stack_from_schema(schema)
     schema.finish()
     energy = stack_energy_per_area(stack)
     headers = ["plates", "min_gap", "span", "energy_per_area"]
     rows = [[len(stack), stack.min_gap, stack.span, energy]]
-    write_output(resolve_out(args.out), report_blocks("stack", headers, rows, args.format))
-    return 0
+    return report_blocks("stack", headers, rows, fmt)
 
 
-def run_extract(args) -> int:
-    schema = load_config(args.config)
-    level = schema.take_int("level")
-    lambda_hat = schema.take_float("lambda_hat")
-    gauge = schema.take_str("gauge", "min", choices=("min", "outer"))
-    reduction = schema.take_float("reduction", 3.0)
+def run_extract(schema: Schema, fmt: str) -> Iterable[str]:
+    level = schema.take("level", parse=int)
+    lambda_hat = schema.take("lambda_hat")
+    gauge = schema.take("gauge", "min", _one_of("min", "outer"))
+    reduction = schema.take("reduction", 3.0)
     grid = _sweep(schema)
     schema.finish()
 
     result = extract_coefficient(level, lambda_hat, grid, gauge, reduction)
     headers = ["d", "c", "dc_dlnd", "trace"]
     rows = zip(result.d_grid, result.c_values, result.logderivs, result.traces)
-    write_output(resolve_out(args.out), report_blocks("extract", headers, rows, args.format))
-    return 0
+    return report_blocks("extract", headers, rows, fmt)
 
 
-def run_fit(args) -> int:
-    schema = load_config(args.config)
-    input_path = schema.take_str("input")
+def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
+    input_path = schema.take("input", parse=str)
     if schema.has("period") and schema.has("reduction"):
         raise ConfigError("give either period or reduction, not both")
     if schema.has("period"):
-        period = schema.take_float("period")
+        period = schema.take("period")
     elif schema.has("reduction"):
-        reduction = schema.take_float("reduction")
+        reduction = schema.take("reduction")
         if not 1.0 < reduction < math.inf:
             raise ConfigError(f"reduction must be above 1 and finite, got {reduction}")
         period = math.log(reduction)
     else:
         raise ConfigError("missing required key 'period' (or 'reduction')")
-    max_harmonics = schema.take_int("max_harmonics")
-    ridge = schema.take_float("ridge", 0.0)
-    ell_star = schema.take_float("ell_star", 1.0)
+    max_harmonics = schema.take("max_harmonics", parse=int)
+    ridge = schema.take("ridge", 0.0)
+    ell_star = schema.take("ell_star", 1.0)
     schema.finish()
 
     d, c = _read_curve(input_path)
@@ -351,10 +329,18 @@ def run_fit(args) -> int:
         period=period, max_harmonics=max_harmonics,
         regularization=ridge, ell_star=ell_star,
     )
-    fit = fit_log_periodic(np.log(d / ell_star), c, cfg)
+    with np.errstate(divide="ignore", over="ignore"):
+        x = np.log(d / ell_star)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(
+            f"input {input_path!r} line {i + 2}: ln(d/ell_star) is not finite for "
+            f"d = {float(d[i])!r}, ell_star = {ell_star!r}"
+        )
+    fit = fit_log_periodic(x, c, cfg)
 
-    out_path = resolve_out(args.out)
-    if args.format == "json":
+    if fmt == "json":
         payload = {
             "command": "fit",
             "c0": fit.model.c0,
@@ -365,21 +351,18 @@ def run_fit(args) -> int:
             "span_warning": fit.span_warning,
             "residuals": list(fit.residuals),
         }
-        write_output(out_path, [json.dumps(payload, indent=2) + "\n"])
-    else:
-        headers = ["name", "value"]
-        rows: list[list] = [
-            ["c0", fit.model.c0],
-            ["period", fit.model.period],
-            ["ell_star", fit.model.ell_star],
-            ["residual_rms", fit.residual_rms],
-            ["span_warning", fit.span_warning],
-        ]
-        for k, (a, b) in enumerate(fit.model.harmonics, start=1):
-            rows.append([f"a{k}", a])
-            rows.append([f"b{k}", b])
-        write_output(out_path, report_blocks("fit", headers, rows, "csv"))
-    return 0
+        return [json.dumps(payload, indent=2) + "\n"]
+    rows: list[list] = [
+        ["c0", fit.model.c0],
+        ["period", fit.model.period],
+        ["ell_star", fit.model.ell_star],
+        ["residual_rms", fit.residual_rms],
+        ["span_warning", fit.span_warning],
+    ]
+    for k, (a, b) in enumerate(fit.model.harmonics, start=1):
+        rows.append([f"a{k}", a])
+        rows.append([f"b{k}", b])
+    return report_blocks("fit", ["name", "value"], rows, "csv")
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
@@ -417,34 +400,36 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     return d, c
 
 
-def run_design(args) -> int:
-    schema = load_config(args.config)
-    outer = schema.take_float("outer")
-    reduction = schema.take_float("reduction")
-    separation = schema.take_float("separation")
-    margin = schema.take_float("margin", 10.0)
+def run_design(schema: Schema, fmt: str) -> Iterable[str]:
+    outer = schema.take("outer")
+    reduction = schema.take("reduction")
+    separation = schema.take("separation")
+    margin = schema.take("margin", 10.0)
     schema.finish()
 
     n_min = min_level(outer, separation, reduction)
+    check_margin(margin)
     headers = ["n", "ell_n", "lower_ok", "upper_ok", "in_window", "min_level"]
     rows = []
     for n in range(n_min + 3):
         spec = PrefractalSpec(outer_scale=outer, reduction=reduction, level=n)
         ell = min_feature(spec)
-        lower_ok = ell <= separation
-        upper_ok = separation <= outer / margin
-        rows.append(
-            [n, ell, lower_ok, upper_ok, in_window(spec, separation, margin), n_min]
-        )
+        inside = in_window(spec, separation, margin)
+        rows.append([n, ell, ell <= separation, separation <= outer / margin, inside, n_min])
     extra = {"min_level": n_min, "margin": margin}
-    write_output(
-        resolve_out(args.out), report_blocks("design", headers, rows, args.format, extra)
-    )
-    return 0
+    return report_blocks("design", headers, rows, fmt, extra)
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+_COMMANDS = {
+    "trace": (run_trace, "running-coefficient trace sweep"),
+    "stack": (run_stack, "energy of a delta-plate stack"),
+    "extract": (run_extract, "extract C(d) from a Cantor stack family"),
+    "fit": (run_fit, "fit a coefficient curve at fixed log-period"),
+    "design": (run_design, "prefractal scaling-window report"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,39 +438,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Casimir trace toolkit for self-similar plate stacks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser):
+    for name, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--out", default=None, help="output file (default stdout)")
         p.add_argument("--format", default="csv", choices=("csv", "json"))
-
-    p = sub.add_parser("trace", help="running-coefficient trace sweep")
-    common(p)
-    p.set_defaults(func=run_trace)
-
-    p = sub.add_parser("stack", help="energy of a delta-plate stack")
-    common(p)
-    p.set_defaults(func=run_stack)
-
-    p = sub.add_parser("extract", help="extract C(d) from a Cantor stack family")
-    common(p)
-    p.set_defaults(func=run_extract)
-
-    p = sub.add_parser("fit", help="fit a coefficient curve at fixed log-period")
-    common(p)
-    p.set_defaults(func=run_fit)
-
-    p = sub.add_parser("design", help="prefractal scaling-window report")
-    common(p)
-    p.set_defaults(func=run_design)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    run, _ = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        chunks = run(load_config(args.config), args.format)
+        write_output(resolve_out(args.out), chunks)
+        return 0
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

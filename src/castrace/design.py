@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["PrefractalSpec", "min_feature", "in_window", "min_level"]
+__all__ = ["PrefractalSpec", "min_feature", "check_margin", "in_window", "min_level"]
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,12 @@ def min_feature(spec: PrefractalSpec) -> float:
     return spec.outer_scale * spec.reduction ** -float(spec.level)
 
 
+def check_margin(margin: float) -> None:
+    """Reject a window margin that is below 1 or not finite."""
+    if not 1.0 <= margin < math.inf:
+        raise DomainError(f"margin must be finite and at least 1, got {margin}")
+
+
 def in_window(spec: PrefractalSpec, d: float, margin: float = 10.0) -> bool:
     """Whether separation d lies in the scaling window ell_n <= d <= L/margin.
 
@@ -50,8 +56,7 @@ def in_window(spec: PrefractalSpec, d: float, margin: float = 10.0) -> bool:
     """
     if not 0.0 < d < math.inf:
         raise DomainError(f"separation must be positive and finite, got {d}")
-    if not 1.0 <= margin < math.inf:
-        raise DomainError(f"margin must be finite and at least 1, got {margin}")
+    check_margin(margin)
     return min_feature(spec) <= d and d <= spec.outer_scale / margin
 
 

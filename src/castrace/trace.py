@@ -196,9 +196,14 @@ def vacuum_stress(model: CoefficientModel, d: float) -> VacuumStress:
     the tensor identity exact by construction; algebraically it equals
     -(dC/dlnd)/d^4, so a static coefficient gives an exactly zero trace.
     """
-    rho = vacuum_energy_density(model, d)
+    return _stress(model.value(d), model.log_derivative(d), d)
+
+
+def _stress(c, dc_dlnd, d) -> VacuumStress:
+    """The stress at d from C and dC/dlnd, with normal_pressure's arithmetic."""
+    rho = c / d**4
     p_par = -rho
-    p_perp = normal_pressure(model, d)
+    p_perp = 3.0 * rho - dc_dlnd / d**4
     trace = -rho + 2.0 * p_par + p_perp
     return VacuumStress(rho_vac=rho, p_parallel=p_par, p_perp=p_perp, trace=trace)
 
@@ -258,11 +263,12 @@ def trace_report(
     # numpy float division gives inf where Python float division raises.
     x = np.float64(d)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        stress = vacuum_stress(model, x)
+        c = model.value(x)
+        stress = _stress(c, model.log_derivative(x), x)
         total = thermal.trace + stress.trace
         report = TraceReport(
             d=d,
-            e=energy_per_area(model, x),
+            e=c / x**3,
             rho_vac=stress.rho_vac,
             p_perp=stress.p_perp,
             p_parallel=stress.p_parallel,

@@ -61,6 +61,29 @@ class TestConfigParsing:
         with pytest.raises(Exception):
             parse_config_text("just words\n")
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("trace", "c0 = abc\nd_min = 1\nd_max = 2\npoints = 3\n",
+             "key 'c0': not a number: 'abc'"),
+            ("trace", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3.5\n",
+             "key 'points': not an integer: '3.5'"),
+            ("stack", "positions = 0, x\ncouplings = 1, 1\n",
+             "key 'positions': not a number list: '0, x'"),
+            ("trace", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3\nspacing = cubic\n",
+             "key 'spacing': expected one of linear, log, got 'cubic'"),
+            ("trace", "c0 = 1\na1 = x\nd_min = 1\nd_max = 2\npoints = 3\n",
+             "key 'a1': not a number: 'x'"),
+        ],
+        ids=["float", "int", "float-list", "choice", "harmonic"],
+    )
+    def test_bad_value_messages(self, tmp_path, capsys, command, text, message):
+        cfg = write_config(tmp_path, "c.cfg", text)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestTraceCommand:
     def test_constant_coefficient_sweep(self, tmp_path, capsys):
@@ -332,6 +355,26 @@ class TestFitCommand:
         assert captured.err.startswith("error: ")
         assert "line 21" in captured.err
 
+    @pytest.mark.parametrize("d,ell_star", [("1e-300", "1e300"), ("1e300", "1e-300")])
+    def test_out_of_range_log_ratio_is_usage_error(self, tmp_path, capsys, d, ell_star):
+        # d/ell_star underflows to 0 or overflows to inf for finite, positive inputs.
+        curve = self.make_curve(tmp_path)
+        lines = curve.read_text().splitlines()
+        lines[20] = f"{d},1"
+        curve.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, "f.cfg",
+            f"input = {curve}\nreduction = 3\nmax_harmonics = 1\nell_star = {ell_star}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "line 21" in captured.err
+        assert f"ell_star = {float(ell_star)!r}" in captured.err
+
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(
             tmp_path, "f.cfg", "input = nope.csv\nperiod = 1\nmax_harmonics = 1\n"
@@ -366,6 +409,19 @@ class TestDesignCommand:
             tmp_path, "d.cfg", "outer = 1\nreduction = 3\nseparation = 2\n"
         )
         assert main(["design", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("margin", ["0", "-0.0", "0.5", "nan", "inf", "-1"])
+    def test_bad_margin_is_usage_error(self, tmp_path, capsys, margin):
+        cfg = write_config(
+            tmp_path, "d.cfg",
+            f"outer = 1\nreduction = 3\nseparation = 0.01\nmargin = {margin}\n",
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["design", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: margin must be finite and at least 1")
 
     def test_margin_flag_overrides_config(self, tmp_path):
         # The margin is set by its config key only; there is no --margin flag.
@@ -432,6 +488,16 @@ class TestRoundTrip:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+# One config per subcommand that fails after parsing, with its exit code.
+FAILING_CONFIGS = {
+    "trace": ("c0 = -0.0137\nd_min = 1e-100\nd_max = 1e-99\npoints = 3\n", 3),
+    "stack": ("positions = 0, 1e-120\ncouplings = 1e300, 1e300\n", 3),
+    "extract": ("level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 2\n", 2),
+    "fit": ("input = {curve}\nperiod = 1\nmax_harmonics = 1\n", 3),
+    "design": ("outer = 1\nreduction = 3\nseparation = 0.01\nmargin = 0.5\n", 2),
+}
+
+
 class TestOutputPlumbing:
     def test_stdout_when_no_out(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 2\n")
@@ -456,12 +522,14 @@ class TestOutputPlumbing:
         assert main(["trace", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write output ")
 
-    def test_failed_run_creates_no_file(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, "t.cfg", "c0 = -0.0137\nd_min = 1e-100\nd_max = 1e-99\npoints = 3\n"
-        )
-        out = tmp_path / "sub" / "t.csv"
-        assert main(["trace", "--config", cfg, "--out", str(out)]) == 3
+    @pytest.mark.parametrize("command", FAILING_CONFIGS)
+    def test_failed_run_creates_no_file(self, tmp_path, capsys, command):
+        text, code = FAILING_CONFIGS[command]
+        curve = tmp_path / "flat.csv"  # every d equal: singular normal equations
+        curve.write_text("d,c\n" + "1,1\n" * 5)
+        cfg = write_config(tmp_path, "c.cfg", text.format(curve=curve))
+        out = tmp_path / "sub" / "x"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
         assert not (tmp_path / "sub").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -677,7 +745,7 @@ def test_config_reference_matches_cli():
         for name in tables["key"]
     }
     source = Path(castrace.cli.__file__).read_text()
-    code_keys = set(re.findall(r"\.(?:take_\w+|has)\(\s*\"(\w+)\"", source))
+    code_keys = set(re.findall(r"\.(?:take|has)\(\s*\"(\w+)\"", source))
     if "take_harmonics()" in source:
         code_keys.add("<harmonic>")
     assert documented_keys == code_keys

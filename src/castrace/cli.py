@@ -192,8 +192,15 @@ def report_blocks(
     blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
     if fmt == "csv":
         yield ",".join(headers) + "\n"
+        template = ",".join(["%.17g"] * len(headers)) + "\n"
         for block in blocks:
-            yield "".join(",".join(map(_format_cell, row)) + "\n" for row in block)
+            if set(map(type, chain.from_iterable(block))) != {float}:
+                yield "".join(",".join(map(_format_cell, row)) + "\n" for row in block)
+                continue
+            # A block of floats fills one %-template per row.  %.17g writes
+            # -0.0 as -0, and no other cell it writes ends in -0.
+            text = "".join(template % tuple(row) for row in block)
+            yield text.replace("-0,", "0,").replace("-0\n", "0\n")
         return
     # The bytes of json.dumps(payload, indent=2) with the rows as objects,
     # written a block at a time: the header comes from json.dumps with empty
@@ -324,7 +331,7 @@ def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
     ell_star = schema.take("ell_star", 1.0)
     schema.finish()
 
-    d, c = _read_curve(input_path)
+    d, c, first = _read_curve(input_path)
     cfg = FitConfig(
         period=period, max_harmonics=max_harmonics,
         regularization=ridge, ell_star=ell_star,
@@ -335,7 +342,7 @@ def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
     if bad.any():
         i = int(np.argmax(bad))
         raise ConfigError(
-            f"input {input_path!r} line {i + 2}: ln(d/ell_star) is not finite for "
+            f"input {input_path!r} line {i + first}: ln(d/ell_star) is not finite for "
             f"d = {float(d[i])!r}, ell_star = {ell_star!r}"
         )
     fit = fit_log_periodic(x, c, cfg)
@@ -365,15 +372,22 @@ def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
     return report_blocks("fit", ["name", "value"], rows, "csv")
 
 
-def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read the (d, c) columns of an extract CSV; d > 0 and finite, c finite."""
+def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read the (d, c) columns of an extract CSV; d > 0 and finite, c finite.
+
+    Blank lines before the header and after the last row are skipped.  Also
+    returns the line number of the first row: row i is on line ``first + i``.
+    """
     try:
-        lines = Path(path).read_text().strip().splitlines()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
-    if not lines:
+    while lines and not lines[-1].strip():
+        lines.pop()
+    top = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if top is None:
         raise ConfigError(f"input {path!r} is empty")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in lines[top].split(",")]
     try:
         d_col = header.index("d")
         c_col = header.index("c")
@@ -381,8 +395,9 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigError(
             f"input {path!r} must have 'd' and 'c' columns, found {header}"
         ) from exc
+    first = top + 2
     d_vals, c_vals = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[top + 1:], start=first):
         cells = line.split(",")
         try:
             d_vals.append(float(cells[d_col]))
@@ -392,12 +407,12 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray]:
     d, c = np.asarray(d_vals), np.asarray(c_vals)
     bad = ~((d > 0.0) & np.isfinite(d) & np.isfinite(c))
     if bad.any():
-        lineno = int(np.argmax(bad)) + 2
+        lineno = int(np.argmax(bad)) + first
         raise ConfigError(
             f"input {path!r} line {lineno}: d must be positive and finite and c "
             f"finite, got {lines[lineno - 1]!r}"
         )
-    return d, c
+    return d, c, first
 
 
 def run_design(schema: Schema, fmt: str) -> Iterable[str]:

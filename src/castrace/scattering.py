@@ -11,14 +11,17 @@ reflects with r(kappa) = lambda/(lambda + 2 kappa) and transmits with
 tau = 1 - r = 2 kappa/(lambda + 2 kappa).
 
 Kernel.  ln Delta is built by the Parratt reflection recursion (Parratt,
-Phys. Rev. 95, 359 (1954)): growing the stack one plate at a time,
+Phys. Rev. 95, 359 (1954)): growing a stack one plate at a time,
 
     ln Delta = sum over gaps i of ln(1 - rho_{i+1} R_i e_i),
     R_{i+1}  = rho_{i+1} + tau_{i+1}^2 R_i e_i / (1 - rho_{i+1} R_i e_i),
 
-with rho = -r, e_i = exp(-2 kappa g_i) and R_1 = rho_1.  It is evaluated in
-complement form (see ``_log_det``), so no step subtracts nearly equal
-numbers, neither as kappa -> 0 nor in the Born limit lambda*g -> 0.
+with rho = -r, e_i = exp(-2 kappa g_i) and R_1 = rho_1.  It runs from both
+ends at once, so each step grows both halves of the stack, and the halves
+join across the middle gap m by the two-body term ln(1 - R_L R_R e_m)
+(Kenneth & Klich, PRB 78, 014103 (2008)); see ``_log_det``.  It is
+evaluated in complement form, so no step subtracts nearly equal numbers,
+neither as kappa -> 0 nor in the Born limit lambda*g -> 0.
 
 Rule.  One exp-sinh trapezoid rule (Takahasi & Mori, 1974) on
 kappa = x/(2 g_min): x = exp((pi/2) sinh t) at t = k h, h = 1/32 and
@@ -35,9 +38,9 @@ Everything is in units hbar = c = 1; couplings carry dimension 1/length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -89,71 +92,101 @@ def transmission_delta(lam: float, kappa: float) -> float:
     return 2.0 * kappa / (lam + 2.0 * kappa)
 
 
-@dataclass(frozen=True)
 class PlateStack:
-    """Ordered planar stack: strictly increasing positions, one coupling each."""
+    """Ordered planar stack: strictly increasing positions, one coupling each.
 
-    positions: tuple[float, ...]
-    couplings: tuple[float, ...]
+    The geometry is held in two read-only float64 arrays, which the energy
+    functions use as they are; ``positions`` and ``couplings`` are tuples of
+    floats built from them on access.  Stacks are immutable, compare equal
+    when their positions and couplings are equal, and hash alike then.
+    """
 
-    def __post_init__(self):
-        positions = tuple(float(z) for z in self.positions)
-        couplings = tuple(float(c) for c in self.couplings)
-        if len(positions) != len(couplings):
-            raise DomainError(
-                f"{len(positions)} positions but {len(couplings)} couplings"
-            )
-        if not positions:
+    __slots__ = ("_z", "_lam")
+
+    def __init__(self, positions: Iterable[float], couplings: Iterable[float]):
+        z = np.fromiter(positions, dtype=float)
+        lam = np.fromiter(couplings, dtype=float)
+        if z.size != lam.size:
+            raise DomainError(f"{z.size} positions but {lam.size} couplings")
+        if not z.size:
             raise DomainError("a stack needs at least one plate")
-        if not all(math.isfinite(z) for z in positions):
-            raise DomainError(f"positions must be finite, got {positions}")
-        if any(b <= a for a, b in zip(positions, positions[1:])):
+        if not np.isfinite(z).all():
+            raise DomainError(f"positions must be finite, got {tuple(z.tolist())}")
+        if not (z[1:] > z[:-1]).all():
             raise DomainError("positions must be strictly increasing")
-        if not all(0.0 < c < math.inf for c in couplings):
-            raise DomainError(f"couplings must be positive and finite, got {couplings}")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "couplings", couplings)
+        if not ((lam > 0.0) & (lam < math.inf)).all():
+            raise DomainError(
+                f"couplings must be positive and finite, got {tuple(lam.tolist())}"
+            )
+        if (lam == lam[0]).all():  # a coupling shared by every plate is held once
+            lam = np.broadcast_to(lam[0], lam.shape)
+        z.flags.writeable = False
+        lam.flags.writeable = False
+        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "_lam", lam)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PlateStack, (self._z, self._lam)
+
+    def __repr__(self) -> str:
+        return f"PlateStack(positions={self.positions!r}, couplings={self.couplings!r})"
+
+    def __eq__(self, other):
+        if not isinstance(other, PlateStack):
+            return NotImplemented
+        return np.array_equal(self._z, other._z) and np.array_equal(self._lam, other._lam)
+
+    def __hash__(self) -> int:
+        return hash((self.positions, self.couplings))
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return self._z.size
+
+    @property
+    def positions(self) -> tuple[float, ...]:
+        return tuple(self._z.tolist())
+
+    @property
+    def couplings(self) -> tuple[float, ...]:
+        return tuple(self._lam.tolist())
 
     @property
     def gaps(self) -> tuple[float, ...]:
-        return tuple(b - a for a, b in zip(self.positions, self.positions[1:]))
+        return tuple(np.diff(self._z).tolist())
 
     @property
     def min_gap(self) -> float:
         if len(self) < 2:
             raise DomainError("gaps are undefined for a single plate")
-        return min(self.gaps)
+        return float(np.diff(self._z).min())
 
     @property
     def span(self) -> float:
-        return self.positions[-1] - self.positions[0]
+        return float(self._z[-1] - self._z[0])
 
     def scaled(self, s: float) -> "PlateStack":
         """Geometric rescaling z -> s*z with couplings lambda -> lambda/s."""
         if not 0.0 < s < math.inf:
             raise DomainError(f"scale factor must be positive and finite, got {s}")
-        return PlateStack(
-            tuple(z * s for z in self.positions),
-            tuple(c / s for c in self.couplings),
-        )
+        return PlateStack(self._z * s, self._lam / s)
 
     def translated(self, dz: float) -> "PlateStack":
-        return PlateStack(tuple(z + dz for z in self.positions), self.couplings)
+        return PlateStack(self._z + dz, self._lam)
 
 
 def mirror_pair(stack: PlateStack, gap: float) -> PlateStack:
     """Stack joined with its mirror image, nearest plates separated by ``gap``."""
     if not 0.0 < gap < math.inf:
         raise DomainError(f"gap must be positive and finite, got {gap}")
-    pivot = stack.positions[-1] + gap / 2.0
-    mirrored = tuple(2.0 * pivot - z for z in reversed(stack.positions))
-    return PlateStack(
-        stack.positions + mirrored,
-        stack.couplings + tuple(reversed(stack.couplings)),
-    )
+    z, lam = stack._z, stack._lam
+    mirrored = 2.0 * (z[-1] + gap / 2.0) - z[::-1]
+    return PlateStack(np.concatenate((z, mirrored)), np.concatenate((lam, lam[::-1])))
 
 
 @dataclass(frozen=True)
@@ -166,47 +199,106 @@ class ExtractionResult:
     traces: tuple[float, ...]
 
 
+_BLOCK = 32  # recursion steps whose gap factors are computed together
+# Gap factors (r, base, re, t2e, tauo, taue) of a step that adds no plate.
+_IDENTITY = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+
+
+def _log_d(d: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """ln D from log1p(D - 1) where D - 1 > -1/2 (the Born side), else log(D)."""
+    born = arg > -0.5
+    out = np.log(d, where=~born, out=np.empty_like(d))
+    return np.log1p(arg, where=born, out=out)
+
+
 def _log_det(gaps: np.ndarray, couplings: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """ln Delta(kappa) = sum over gaps of ln(1 - rho_{i+1} R_i e_i).
+    """ln Delta(kappa), by the Parratt recursion run from both ends at once.
 
-    R_i is the reflection amplitude of plates 1..i seen from the right,
-    rho = -r = -lam/(lam + 2 kappa), tau = 1 + rho and e_i = exp(-2 kappa g_i).
-    Both R (negative) and P = 1 + R (positive) are carried, each updated by
-    sums of same-signed terms: R keeps its relative precision on the Born
-    side, where 1 - P would lose it, and P keeps its where R -> -1.  With
-    D = 1 - rho R e,
+    A chain of plates carries R, its reflection amplitude seen from the side
+    it grows towards, and P = 1 + R.  The left chain starts at the first
+    plate and adds plates 1..m across gaps 0..m-1; the right chain starts at
+    the last plate and adds plates down to m+1 (see ``_grow_chains``).  The
+    two meet across the middle gap m = n_gaps // 2 by the two-body term
 
-        D  = -expm1(-2 kappa g) + e (tau + r P)
+        D = -expm1(-2 kappa g_m) + e (P_L + P_R |R_L|) = 1 - R_L R_R e,
+
+    with e = exp(-2 kappa g_m), so ln Delta is the sum of ln D over the
+    steps of both chains plus ln D of this join.  A pair is the join alone.
+    """
+    two_k = 2.0 * kappa
+    n = gaps.size
+    ends = couplings[::n, None]  # the first and the last plate
+    inv = 1.0 / (ends + two_k)
+    refl = -ends * inv  # R of the left chain (row 0) and the right one (row 1)
+    comp = two_k * inv  # P = 1 + R
+    m = n // 2
+    ln_d = _grow_chains(gaps, couplings, two_k, refl, comp) if m else []
+    x = -two_k * gaps[m]
+    e = np.exp(x)
+    (r_left, r_right), (p_left, p_right) = refl, comp
+    d_join = -np.expm1(x) + e * (p_left - p_right * r_left)
+    return sum(ln_d, _log_d(d_join, -r_left * r_right * e))
+
+
+def _grow_chains(gaps, couplings, two_k, refl, comp) -> list[np.ndarray]:
+    """Grow both chains of ``_log_det`` in place; the sums of ln D per block.
+
+    Adding a plate of reflection r = lam/(lam + 2 kappa) and transmission
+    tau = 1 - r across a gap g, with e = exp(-2 kappa g), gives
+
+        D  = -expm1(-2 kappa g) + e (tau + r P) = 1 + r R e
         R <- -r + tau^2 R e / D
         P <- tau (-expm1(-2 kappa g) + e P) / D
 
-    ln D is log1p(r R e) where D > 1/2 (always so when |R| < 1/2) and log(D)
-    elsewhere, so each node takes the form that carries its small quantity.
+    R and P are each updated by sums of same-signed terms: R keeps its
+    relative precision on the Born side, where 1 - P would lose it, and P
+    keeps its where R -> -1.  Step j adds plate j+1 across gap j to the
+    left chain and plate n-1-j across gap n-1-j to the right one, as the two
+    rows of (2, nodes) arrays.  Every factor that depends on the gap and the
+    plate alone is computed ahead, _BLOCK steps at a time so that no
+    temporary outgrows the allocator's small-block range, and the logs of a
+    block are taken once its steps are done.  With an odd plate count the
+    right chain is one step short; its last step is given the exact
+    identity factors.
     """
-    two_k = 2.0 * kappa
-    inv = 1.0 / (couplings[0] + two_k)
-    refl = -couplings[0] * inv
-    comp = two_k * inv
-    acc = np.zeros_like(kappa)
-    for gap, lam in zip(gaps, couplings[1:]):
+    n = gaps.size
+    m = n // 2
+    steps = np.zeros((2, m, 2, 1))  # (lam, gap) by step and chain
+    steps[0, :, 0, 0] = couplings[1:m + 1]
+    steps[1, :, 0, 0] = gaps[:m]
+    steps[0, :n - 1 - m, 1, 0] = couplings[n - 1:m:-1]
+    steps[1, :n - 1 - m, 1, 0] = gaps[n - 1:m:-1]
+    d = np.empty((min(m, _BLOCK),) + refl.shape)
+    arg = np.empty_like(d)  # D - 1 = r R e, in (-1, 0]
+    ln_d = []
+    for start in range(0, m, _BLOCK):
+        lam, gap = steps[:, start:start + _BLOCK]
+        count = len(lam)
         inv = 1.0 / (lam + two_k)
         r = lam * inv
         tau = two_k * inv
         x = -two_k * gap
         e = np.exp(x)
         open_ = -np.expm1(x)
-        d = open_ + e * (tau + r * comp)
-        arg = r * refl * e  # D - 1, in (-1, 0]
-        born = arg > -0.5
-        # log1p only sees the Born nodes: elsewhere its argument can reach -1.
-        acc += np.where(born, np.log1p(np.where(born, arg, 0.0)), np.log(d))
-        q = tau / d
-        refl = tau * q * refl * e - r
-        comp = q * (open_ + e * comp)
-    return acc
+        factors = (r, open_ + e * tau, r * e, tau * tau * e, tau * open_, tau * e)
+        if start + count == m and n % 2 == 0:
+            for f, one in zip(factors, _IDENTITY):
+                f[-1, 1] = one
+        for k, (r_k, base, re, t2e, tauo, taue) in enumerate(zip(*factors)):
+            d_k = np.multiply(re, comp, out=d[k])
+            d_k += base
+            np.multiply(re, refl, out=arg[k])
+            refl *= t2e
+            refl /= d_k
+            refl -= r_k
+            comp *= taue
+            comp += tauo
+            comp /= d_k
+        ln_d.append(_log_d(d[:count], arg[:count]).sum(axis=(0, 1)))
+    return ln_d
 
 
-def _energy(gaps: np.ndarray, couplings: Sequence[float]) -> float:
+def _energy(gaps: np.ndarray, couplings: np.ndarray) -> float:
     """(1/4 pi^2) int_0^inf kappa^2 ln Delta(kappa) dkappa by the exp-sinh rule.
 
     The kernel runs on the dimensionless stack, gaps in units of the
@@ -215,7 +307,8 @@ def _energy(gaps: np.ndarray, couplings: Sequence[float]) -> float:
     at every node, so it is capped there rather than let overflow to inf.
     """
     g = float(np.min(gaps))
-    lam_g = np.array([min(float(lam) * g, _HARD) for lam in couplings])
+    with np.errstate(over="ignore"):
+        lam_g = np.minimum(couplings * g, _HARD)
     vals = _WEIGHTS * _log_det(gaps / g, lam_g, _KAPPA)
     fine = float(np.sum(vals))
     coarse = 2.0 * float(np.sum(vals[::2]))
@@ -245,7 +338,7 @@ def pair_energy_per_area(lambda1: float, lambda2: float, d: float) -> float:
         )
     if not 0.0 < d < math.inf:
         raise DomainError(f"separation must be positive and finite, got {d}")
-    return _energy(np.array([d]), (lambda1, lambda2))
+    return _energy(np.array([d], dtype=float), np.array([lambda1, lambda2], dtype=float))
 
 
 def stack_energy_per_area(stack: PlateStack) -> float:
@@ -257,7 +350,7 @@ def stack_energy_per_area(stack: PlateStack) -> float:
     """
     if len(stack) < 2:
         raise DomainError("stack energy needs at least two plates")
-    return _energy(np.diff(stack.positions), stack.couplings)
+    return _energy(np.diff(stack._z), stack._lam)
 
 
 def cantor_stack(level: int, outer: float, lam: float, b: float = 3.0) -> PlateStack:
@@ -295,7 +388,7 @@ def cantor_stack(level: int, outer: float, lam: float, b: float = 3.0) -> PlateS
     for lo, hi in segments:
         endpoints.append(float(lo * scale))
         endpoints.append(float(hi * scale))
-    return PlateStack(tuple(endpoints), (lam,) * len(endpoints))
+    return PlateStack(endpoints, (lam,) * len(endpoints))
 
 
 def extract_coefficient(
@@ -333,9 +426,7 @@ def extract_coefficient(
     unit = cantor_stack(level, 1.0, 1.0, b)
     governing = unit.min_gap if gauge == "min" else unit.span
 
-    member = PlateStack(
-        tuple(z / governing for z in unit.positions), (lambda_hat,) * len(unit)
-    )
+    member = PlateStack(unit._z / governing, (lambda_hat,) * len(unit))
     c = stack_energy_per_area(member)
     zeros = (0.0,) * grid.size
     return ExtractionResult(

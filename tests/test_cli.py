@@ -375,6 +375,25 @@ class TestFitCommand:
         assert "line 21" in captured.err
         assert f"ell_star = {float(ell_star)!r}" in captured.err
 
+    @pytest.mark.parametrize(
+        "row,extra,message",
+        [
+            ("0,1", "", "d must be positive and finite"),
+            ("1e-300,1", "ell_star = 1e300\n", "ln(d/ell_star) is not finite"),
+        ],
+        ids=["bad-row", "log-ratio"],
+    )
+    def test_messages_count_leading_blank_lines(self, tmp_path, capsys, row, extra, message):
+        # The bad row is the sixth line of the file, after two blank lines.
+        curve = tmp_path / "blank.csv"
+        curve.write_text(f"\n\nd,c\n1,1\n2,1\n{row}\n3,1\n")
+        cfg = write_config(
+            tmp_path, "f.cfg", f"input = {curve}\nreduction = 3\nmax_harmonics = 0\n{extra}"
+        )
+        assert main(["fit", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"line 6: {message}" in err
+
     def test_missing_input_file(self, tmp_path):
         cfg = write_config(
             tmp_path, "f.cfg", "input = nope.csv\nperiod = 1\nmax_harmonics = 1\n"

@@ -13,9 +13,13 @@ Frozen reference numbers, all computed independently of the engine:
   for lambda*d = x; MP_CANTOR holds cantor_stack(level, 1, lambda*L).
   Repeating the level-2/3 and lambda*d = 1e6 evaluations at 40 digits
   changed no double.
+* MP_ASYMMETRIC: the same oracle on two stacks with an odd plate count and
+  no mirror symmetry, keyed by plate count; 40 digits changed neither.
 """
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +61,10 @@ MP_CANTOR = {
     (3, 0.5): -0.3717659013692537,
     (3, 5.0): -18.182318682770898,
     (3, 100.0): -593.4530973201253,
+}
+MP_ASYMMETRIC = {
+    3: ((0.0, 0.3, 1.0), (2.0, 0.5, 7.0), -0.008004995372022974),
+    5: ((0.0, 0.2, 0.5, 0.6, 1.3), (1.5, 4.0, 0.3, 9.0, 2.5), -0.1034764767982942),
 }
 ORACLE_TOL = 1e-12
 
@@ -137,14 +145,19 @@ class TestPairEnergy:
 
 class TestPlateStack:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            PlateStack((0.0, 0.0), (1.0, 1.0))
-        with pytest.raises(DomainError):
-            PlateStack((1.0, 0.5), (1.0, 1.0))
-        with pytest.raises(DomainError):
-            PlateStack((0.0, 1.0), (1.0,))
-        with pytest.raises(DomainError):
-            PlateStack((0.0, 1.0), (1.0, -1.0))
+        cases = [
+            (((0.0, 0.0), (1.0, 1.0)), "positions must be strictly increasing"),
+            (((1.0, 0.5), (1.0, 1.0)), "positions must be strictly increasing"),
+            (((0.0, 1.0), (1.0,)), "2 positions but 1 couplings"),
+            (((0.0, 1.0), (1.0, -1.0)),
+             "couplings must be positive and finite, got (1.0, -1.0)"),
+            (((), ()), "a stack needs at least one plate"),
+            (((0.0, math.inf), (1.0, 1.0)), "positions must be finite, got (0.0, inf)"),
+        ]
+        for args, message in cases:
+            with pytest.raises(DomainError) as info:
+                PlateStack(*args)
+            assert str(info.value) == message
 
     def test_geometry_helpers(self):
         stack = PlateStack((0.0, 0.25, 1.0), (1.0, 2.0, 3.0))
@@ -161,6 +174,40 @@ class TestPlateStack:
         joined = mirror_pair(body, 0.4)
         assert joined.positions == pytest.approx((0.0, 0.3, 0.7, 1.0))
         assert joined.couplings == (1.0, 2.0, 2.0, 1.0)
+
+    def test_geometry_reads_as_python_floats(self):
+        stack = PlateStack([0, 0.25, 1], np.array([1.0, 2.0, 3.0]))
+        for values in (stack.positions, stack.couplings, stack.gaps):
+            assert type(values) is tuple
+            assert all(type(v) is float for v in values)
+        assert type(stack.min_gap) is float and type(stack.span) is float
+        assert stack.positions == (0.0, 0.25, 1.0)
+        assert len(stack) == 3
+
+    def test_equality_and_hash(self):
+        stack = PlateStack((0.0, 0.25, 1.0), (1.0, 2.0, 3.0))
+        same = PlateStack(np.array([-0.0, 0.25, 1.0]), [1, 2, 3])
+        assert stack == same and hash(stack) == hash(same)
+        assert hash(stack) == hash((stack.positions, stack.couplings))
+        assert stack != PlateStack((0.0, 0.25, 1.0), (1.0, 2.0, 4.0))
+        assert stack != PlateStack((0.0, 0.25), (1.0, 2.0))
+        assert stack != stack.positions
+        assert len({stack, same, stack.translated(0.0)}) == 1
+        assert pickle.loads(pickle.dumps(stack)) == stack
+
+    def test_immutable(self):
+        source = np.array([0.0, 1.0])
+        stack = PlateStack(source, (1.0, 1.0))
+        source[1] = 5.0  # the stack holds its own copy
+        assert stack.positions == (0.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stack.positions = (0.0, 2.0)
+        with pytest.raises(AttributeError):
+            stack.extra = 1
+        for array in (stack._z, stack._lam):
+            assert array.dtype == np.float64 and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 3.0
 
 
 class TestStackEnergy:
@@ -301,6 +348,79 @@ class TestOracle:
         stack = PlateStack((0.0, 1e-120), (1e300, 1e300))
         with pytest.raises(NumericalError, match="not finite"):
             stack_energy_per_area(stack)
+
+
+def reference_energy(stack):
+    """The one-ended Parratt recursion, plate by plate, on the engine's rule."""
+    z = np.asarray(stack.positions)
+    g = float(np.min(np.diff(z)))
+    gaps, lam = np.diff(z) / g, np.asarray(stack.couplings) * g
+    two_k = 2.0 * scattering._KAPPA
+    refl = -lam[0] / (lam[0] + two_k)
+    comp = two_k / (lam[0] + two_k)
+    acc = np.zeros_like(two_k)
+    for gap, lam_next in zip(gaps, lam[1:]):
+        r = lam_next / (lam_next + two_k)
+        tau = two_k / (lam_next + two_k)
+        e = np.exp(-two_k * gap)
+        open_ = -np.expm1(-two_k * gap)
+        d = open_ + e * (tau + r * comp)
+        arg = r * refl * e
+        born = arg > -0.5
+        acc += np.where(born, np.log1p(np.where(born, arg, 0.0)), np.log(d))
+        q = tau / d
+        refl = tau * q * refl * e - r
+        comp = q * (open_ + e * comp)
+    return float(np.sum(scattering._WEIGHTS * acc)) / (4.0 * math.pi**2) / g**3
+
+
+def random_stack(rng, n):
+    """n plates with gaps within a factor 10 and lambda*g from 1e-3 to 1e3."""
+    positions = np.cumsum(10.0 ** rng.uniform(-0.5, 0.5, n))
+    return PlateStack(positions, 10.0 ** rng.uniform(-3.0, 3.0, n))
+
+
+class TestTwoEndedKernel:
+    """The recursion run from both ends against the one-ended reference."""
+
+    @pytest.mark.parametrize("n", list(range(2, 41)))
+    def test_matches_one_ended_recursion(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            stack = random_stack(rng, n)
+            assert rel_err(stack_energy_per_area(stack), reference_energy(stack)) <= 1e-13
+
+    def test_many_blocks(self):
+        # 299 plates: five blocks of steps, the last one partial, odd count.
+        stack = random_stack(np.random.default_rng(77), 299)
+        assert rel_err(stack_energy_per_area(stack), reference_energy(stack)) <= 1e-13
+
+    def test_identity_step_is_exact(self):
+        # Three plates: the right chain is the last plate alone, so its one
+        # step adds nothing and must leave R and P as they were, bit for bit.
+        two_k = 2.0 * scattering._KAPPA
+        lam = np.array([0.3, 4.0, 7.0])
+        inv = 1.0 / (lam[::2, None] + two_k)
+        refl, comp = -lam[::2, None] * inv, two_k * inv
+        right = refl[1].copy(), comp[1].copy()
+        scattering._grow_chains(np.array([1.0, 2.5]), lam, two_k, refl, comp)
+        assert np.array_equal(refl[1], right[0]) and np.array_equal(comp[1], right[1])
+
+    @pytest.mark.parametrize("n", sorted(MP_ASYMMETRIC))
+    def test_uneven_chains_match_mpmath(self, n):
+        positions, couplings, energy = MP_ASYMMETRIC[n]
+        e = stack_energy_per_area(PlateStack(positions, couplings))
+        assert rel_err(e, energy) <= ORACLE_TOL
+
+    @pytest.mark.parametrize("n", [3, 5, 7, 21, 41])
+    def test_mirror_image_of_odd_stack(self, n):
+        stack = random_stack(np.random.default_rng(n), n)
+        mirrored = PlateStack(
+            tuple(-z for z in reversed(stack.positions)),
+            tuple(reversed(stack.couplings)),
+        )
+        e = stack_energy_per_area(stack)
+        assert rel_err(stack_energy_per_area(mirrored), e) <= 1e-13
 
 
 class TestCantorStack:

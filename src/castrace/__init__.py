@@ -5,79 +5,73 @@ prefractal design windows (:mod:`castrace.design`), a first-principles
 delta-plate scattering engine (:mod:`castrace.scattering`) and log-periodic
 fitting (:mod:`castrace.logfit`).  The ``castrace`` command line front end
 lives in :mod:`castrace.cli`.
+
+``import castrace`` loads none of the layers: each public name is imported
+from its module on first use, so a program pays only for the layers it
+touches (``castrace.PlateStack`` loads the scattering engine and numpy,
+``castrace.min_level`` only the design module).
 """
 
-from .design import PrefractalSpec, in_window, min_feature, min_level
-from .errors import CastraceError, ConfigError, DomainError, NumericalError
-from .logfit import FitConfig, FitResult, fit_log_periodic, period_scan, predicted_trace
-from .scattering import (
-    ExtractionResult,
-    PlateStack,
-    cantor_stack,
-    extract_coefficient,
-    mirror_pair,
-    pair_energy_per_area,
-    reflection_delta,
-    stack_energy_per_area,
-    transmission_delta,
-)
-from .trace import (
-    CoefficientModel,
-    SpectralParams,
-    ThermalState,
-    TraceReport,
-    VacuumStress,
-    energy_per_area,
-    fractal_vacuum_energy,
-    normal_pressure,
-    ricci_scalar,
-    spectral_dimension,
-    thermal_state,
-    trace_report,
-    unified_trace,
-    vacuum_energy_density,
-    vacuum_stress,
-)
+from importlib import import_module
+
+# Public name -> the module that defines it, in the order of __all__.
+_SOURCES = {
+    **dict.fromkeys(["CastraceError", "ConfigError", "DomainError", "NumericalError"], "errors"),
+    **dict.fromkeys(
+        [
+            "SpectralParams",
+            "CoefficientModel",
+            "VacuumStress",
+            "ThermalState",
+            "TraceReport",
+            "spectral_dimension",
+            "energy_per_area",
+            "normal_pressure",
+            "vacuum_energy_density",
+            "vacuum_stress",
+            "thermal_state",
+            "fractal_vacuum_energy",
+            "unified_trace",
+            "ricci_scalar",
+            "trace_report",
+        ],
+        "trace",
+    ),
+    **dict.fromkeys(["PrefractalSpec", "min_feature", "in_window", "min_level"], "design"),
+    **dict.fromkeys(
+        [
+            "PlateStack",
+            "ExtractionResult",
+            "reflection_delta",
+            "transmission_delta",
+            "pair_energy_per_area",
+            "stack_energy_per_area",
+            "cantor_stack",
+            "mirror_pair",
+            "extract_coefficient",
+        ],
+        "scattering",
+    ),
+    **dict.fromkeys(
+        ["FitConfig", "FitResult", "fit_log_periodic", "predicted_trace", "period_scan"],
+        "logfit",
+    ),
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CastraceError",
-    "ConfigError",
-    "DomainError",
-    "NumericalError",
-    "SpectralParams",
-    "CoefficientModel",
-    "VacuumStress",
-    "ThermalState",
-    "TraceReport",
-    "spectral_dimension",
-    "energy_per_area",
-    "normal_pressure",
-    "vacuum_energy_density",
-    "vacuum_stress",
-    "thermal_state",
-    "fractal_vacuum_energy",
-    "unified_trace",
-    "ricci_scalar",
-    "trace_report",
-    "PrefractalSpec",
-    "min_feature",
-    "in_window",
-    "min_level",
-    "PlateStack",
-    "ExtractionResult",
-    "reflection_delta",
-    "transmission_delta",
-    "pair_energy_per_area",
-    "stack_energy_per_area",
-    "cantor_stack",
-    "mirror_pair",
-    "extract_coefficient",
-    "FitConfig",
-    "FitResult",
-    "fit_log_periodic",
-    "predicted_trace",
-    "period_scan",
-    "__version__",
-]
+__all__ = [*_SOURCES, "__version__"]
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

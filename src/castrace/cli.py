@@ -3,12 +3,18 @@
 Configs are flat ``key = value`` text files with ``#`` comments; unknown keys
 are rejected so typos fail loudly.  Exit codes: 0 on success, 2 for usage or
 configuration problems (an ``--out`` that cannot be written among them), 3
-for numerical failures.  Output goes to stdout unless ``--out`` names a file;
-relative output paths are resolved against ``CASTRACE_OUT_DIR`` when that
-variable is set.  Reports are written in blocks of rows once the results are
+for numerical failures, and 141 when the reader of stdout closes it before
+the report is written in full (``castrace trace ... | head``).  Output goes
+to stdout unless ``--out`` names a file; relative output paths are resolved
+against ``CASTRACE_OUT_DIR`` when that variable is set.  Reports are written in blocks of rows once the results are
 computed, so a run that exits 2 or 3 writes nothing: each ``run_*`` function
 takes a config and a format and returns the report's text chunks, and
 ``main`` is the one place that reads the config and writes the output.
+
+A subcommand loads only the layer it runs: this module imports numpy and the
+``castrace`` layer modules inside the functions that use them, so ``castrace
+design`` never imports numpy and ``castrace trace`` loads neither the
+scattering engine nor the fit.
 """
 
 from __future__ import annotations
@@ -20,18 +26,13 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .design import PrefractalSpec, check_margin, in_window, min_feature, min_level
 from .errors import CastraceError, ConfigError, DomainError, NumericalError
-from .logfit import FitConfig, fit_log_periodic
-from .scattering import PlateStack, cantor_stack, extract_coefficient, stack_energy_per_area
-from .trace import CoefficientModel, thermal_state, trace_report
 
 OUT_DIR_ENV = "CASTRACE_OUT_DIR"
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer ended by a closed pipe
 
 _REQUIRED = object()
 _HARMONIC_KEY = re.compile(r"^([ab])([1-9][0-9]*)$")
@@ -118,15 +119,30 @@ def _one_of(*choices: str):
     return parse
 
 
-def load_config(path: str) -> Schema:
+def _read_text(path: str, what: str) -> str:
+    """The text of a UTF-8 file; one that cannot be read or decoded is a ConfigError."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    return Schema(parse_config_text(text))
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Lines are counted as str.splitlines counts them, like every other message.
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ConfigError(
+            f"{what} {path!r} line {lineno}: not UTF-8 text "
+            f"(byte 0x{data[exc.start]:02x})"
+        ) from exc
+
+
+def load_config(path: str) -> Schema:
+    return Schema(parse_config_text(_read_text(path, "config")))
 
 
 def _sweep(schema: Schema) -> np.ndarray:
+    import numpy as np
+
     d_min = schema.take("d_min")
     d_max = schema.take("d_max")
     points = schema.take("points", parse=int)
@@ -169,57 +185,79 @@ def resolve_out(out: str | None) -> Path | None:
 _BLOCK_ROWS = 1024  # rows per formatted and written block
 
 
-def _table_rows(table: np.ndarray) -> Iterator[list]:
-    """The rows of a 2-D array as lists, converted one block at a time."""
-    for start in range(0, len(table), _BLOCK_ROWS):
-        yield from table[start:start + _BLOCK_ROWS].tolist()
-
-
 def report_blocks(
     command: str,
     headers: list[str],
-    rows: Iterable,
+    columns: list,
     fmt: str,
     extra: dict | None = None,
 ) -> Iterator[str]:
     """The text of a report, one block of ``_BLOCK_ROWS`` rows at a time.
 
-    CSV cells are ``%.17g`` with -0.0 written as 0.  JSON is byte-identical
-    to ``json.dumps(payload, indent=2)`` for the payload {"command", **extra,
-    "rows"} with each row an object keyed by ``headers``.
+    ``columns`` holds one column per header: a 1-D float array, a list of
+    cells (float, int, bool or str), or a scalar.  A scalar fills every row
+    of a report that has array or list columns (these agree in length), and
+    a report of scalars alone is one row.  CSV cells are ``%.17g`` with -0.0
+    written as 0, ints as themselves and bools as true/false.  JSON is
+    byte-identical to ``json.dumps(payload, indent=2)`` for the payload
+    {"command", **extra, "rows"} with each row an object keyed by
+    ``headers``; callers guarantee finite floats.
     """
-    rows = iter(rows)
-    blocks = iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
-    if fmt == "csv":
+    if all(not isinstance(c, list) and getattr(c, "ndim", 0) == 0 for c in columns):
+        columns = [[c] for c in columns]
+    csv = fmt == "csv"
+    format_cell = _format_cell if csv else json.dumps
+    # Each row fills one %-template.  A scalar is formatted once, into the
+    # template itself.  A float array fills a %.17g (CSV) or %r (JSON: repr
+    # is the text json writes for a float) field from one tolist() per
+    # block.  A list cell goes through format_cell into a %s field.
+    float_field, float_values = ("%.17g", _csv_floats) if csv else ("%r", _tolist)
+    fields, sized = [], []
+    for column in columns:
+        if isinstance(column, list):
+            fields.append("%s")
+            sized.append((column, partial(map, format_cell)))
+        elif getattr(column, "ndim", 0) == 1:
+            fields.append(float_field)
+            sized.append((column, float_values))
+        else:
+            fields.append(format_cell(column).replace("%", "%%"))
+    if csv:
+        template = ",".join(fields) + "\n"
+    else:
+        template = "    {\n" + ",\n".join(
+            "      " + json.dumps(h).replace("%", "%%") + ": " + field
+            for h, field in zip(headers, fields)
+        ) + "\n    }"
+
+    def rows(start: int) -> Iterator[str]:
+        block = zip(*(cells(c[start:start + _BLOCK_ROWS]) for c, cells in sized))
+        return map(template.__mod__, block)
+
+    starts = range(0, len(sized[0][0]), _BLOCK_ROWS)
+    if csv:
         yield ",".join(headers) + "\n"
-        template = ",".join(["%.17g"] * len(headers)) + "\n"
-        for block in blocks:
-            if set(map(type, chain.from_iterable(block))) != {float}:
-                yield "".join(",".join(map(_format_cell, row)) + "\n" for row in block)
-                continue
-            # A block of floats fills one %-template per row.  %.17g writes
-            # -0.0 as -0, and no other cell it writes ends in -0.
-            text = "".join(template % tuple(row) for row in block)
-            yield text.replace("-0,", "0,").replace("-0\n", "0\n")
+        for start in starts:
+            yield "".join(rows(start))
         return
     # The bytes of json.dumps(payload, indent=2) with the rows as objects,
     # written a block at a time: the header comes from json.dumps with empty
-    # rows and each row fills one %-template.
-    # str() of a float or an int is the repr json writes for it (callers
-    # guarantee finite floats); any other cell goes through json.dumps.
+    # rows.
     head = json.dumps({"command": command, **(extra or {}), "rows": []}, indent=2)
-    fields = ",\n".join(
-        "      " + json.dumps(h).replace("%", "%%") + ": %s" for h in headers
-    )
-    template = "    {\n" + fields + "\n    }"
     opening = head[: -len("[]\n}")] + "[\n"
     separator = opening
-    for block in blocks:
-        if not set(map(type, chain.from_iterable(block))) <= {float, int}:
-            block = [[v if type(v) in (float, int) else json.dumps(v) for v in row] for row in block]
-        yield separator + ",\n".join(template % tuple(row) for row in block)
+    for start in starts:
+        yield separator + ",\n".join(rows(start))
         separator = ",\n"
     yield head + "\n" if separator is opening else "\n  ]\n}\n"
+
+
+def _csv_floats(values) -> list[float]:
+    return (values + 0.0).tolist()  # +0.0 folds -0.0 into 0
+
+
+def _tolist(values) -> list[float]:
+    return values.tolist()
 
 
 def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
@@ -231,6 +269,7 @@ def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
     """
     if out_path is None:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
         return
     try:
         out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -245,6 +284,8 @@ def write_output(out_path: Path | None, chunks: Iterable[str]) -> None:
 
 
 def run_trace(schema: Schema, fmt: str) -> Iterable[str]:
+    from .trace import CoefficientModel, thermal_state, trace_report
+
     model = CoefficientModel(
         c0=schema.take("c0"),
         period=schema.take("period", math.log(3.0)),
@@ -262,13 +303,12 @@ def run_trace(schema: Schema, fmt: str) -> Iterable[str]:
         "vacuum_trace", "thermal_trace", "total_trace", "ricci",
     ]
     rep = trace_report(model, thermal, grid, g_newton)
-    table = np.column_stack(
-        [np.broadcast_to(getattr(rep, name), grid.shape) for name in headers]
-    )
-    return report_blocks("trace", headers, _table_rows(table), fmt)
+    return report_blocks("trace", headers, [getattr(rep, name) for name in headers], fmt)
 
 
 def _stack_from_schema(schema: Schema) -> PlateStack:
+    from .scattering import PlateStack, cantor_stack
+
     explicit = schema.has("positions") or schema.has("couplings")
     generated = schema.has("level") or schema.has("outer") or schema.has("coupling")
     if explicit and generated:
@@ -291,15 +331,21 @@ def _stack_from_schema(schema: Schema) -> PlateStack:
 
 
 def run_stack(schema: Schema, fmt: str) -> Iterable[str]:
+    from .scattering import stack_energy_per_area
+
     stack = _stack_from_schema(schema)
     schema.finish()
     energy = stack_energy_per_area(stack)
     headers = ["plates", "min_gap", "span", "energy_per_area"]
-    rows = [[len(stack), stack.min_gap, stack.span, energy]]
-    return report_blocks("stack", headers, rows, fmt)
+    columns = [len(stack), stack.min_gap, stack.span, energy]
+    return report_blocks("stack", headers, columns, fmt)
 
 
 def run_extract(schema: Schema, fmt: str) -> Iterable[str]:
+    import numpy as np
+
+    from .scattering import extract_coefficient
+
     level = schema.take("level", parse=int)
     lambda_hat = schema.take("lambda_hat")
     gauge = schema.take("gauge", "min", _one_of("min", "outer"))
@@ -309,11 +355,18 @@ def run_extract(schema: Schema, fmt: str) -> Iterable[str]:
 
     result = extract_coefficient(level, lambda_hat, grid, gauge, reduction)
     headers = ["d", "c", "dc_dlnd", "trace"]
-    rows = zip(result.d_grid, result.c_values, result.logderivs, result.traces)
-    return report_blocks("extract", headers, rows, fmt)
+    columns = [
+        np.asarray(values)
+        for values in (result.d_grid, result.c_values, result.logderivs, result.traces)
+    ]
+    return report_blocks("extract", headers, columns, fmt)
 
 
 def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
+    import numpy as np
+
+    from .logfit import FitConfig, fit_log_periodic
+
     input_path = schema.take("input", parse=str)
     if schema.has("period") and schema.has("reduction"):
         raise ConfigError("give either period or reduction, not both")
@@ -359,17 +412,13 @@ def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
             "residuals": list(fit.residuals),
         }
         return [json.dumps(payload, indent=2) + "\n"]
-    rows: list[list] = [
-        ["c0", fit.model.c0],
-        ["period", fit.model.period],
-        ["ell_star", fit.model.ell_star],
-        ["residual_rms", fit.residual_rms],
-        ["span_warning", fit.span_warning],
-    ]
+    names = ["c0", "period", "ell_star", "residual_rms", "span_warning"]
+    values = [fit.model.c0, fit.model.period, fit.model.ell_star, fit.residual_rms,
+              fit.span_warning]
     for k, (a, b) in enumerate(fit.model.harmonics, start=1):
-        rows.append([f"a{k}", a])
-        rows.append([f"b{k}", b])
-    return report_blocks("fit", ["name", "value"], rows, "csv")
+        names += [f"a{k}", f"b{k}"]
+        values += [a, b]
+    return report_blocks("fit", ["name", "value"], [names, values], "csv")
 
 
 def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -378,10 +427,9 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray, int]:
     Blank lines before the header and after the last row are skipped.  Also
     returns the line number of the first row: row i is on line ``first + i``.
     """
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read input {path!r}: {exc}") from exc
+    import numpy as np
+
+    lines = _read_text(path, "input").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     top = next((i for i, line in enumerate(lines) if line.strip()), None)
@@ -416,6 +464,8 @@ def _read_curve(path: str) -> tuple[np.ndarray, np.ndarray, int]:
 
 
 def run_design(schema: Schema, fmt: str) -> Iterable[str]:
+    from .design import PrefractalSpec, check_margin, in_window, min_feature, min_level
+
     outer = schema.take("outer")
     reduction = schema.take("reduction")
     separation = schema.take("separation")
@@ -425,14 +475,19 @@ def run_design(schema: Schema, fmt: str) -> Iterable[str]:
     n_min = min_level(outer, separation, reduction)
     check_margin(margin)
     headers = ["n", "ell_n", "lower_ok", "upper_ok", "in_window", "min_level"]
-    rows = []
-    for n in range(n_min + 3):
-        spec = PrefractalSpec(outer_scale=outer, reduction=reduction, level=n)
-        ell = min_feature(spec)
-        inside = in_window(spec, separation, margin)
-        rows.append([n, ell, ell <= separation, separation <= outer / margin, inside, n_min])
+    levels = list(range(n_min + 3))
+    specs = [PrefractalSpec(outer_scale=outer, reduction=reduction, level=n) for n in levels]
+    ells = [min_feature(spec) for spec in specs]
+    columns = [
+        levels,
+        ells,
+        [ell <= separation for ell in ells],
+        separation <= outer / margin,
+        [in_window(spec, separation, margin) for spec in specs],
+        n_min,
+    ]
     extra = {"min_level": n_min, "margin": margin}
-    return report_blocks("design", headers, rows, fmt, extra)
+    return report_blocks("design", headers, columns, fmt, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +523,14 @@ def main(argv=None) -> int:
         chunks = run(load_config(args.config), args.format)
         write_output(resolve_out(args.out), chunks)
         return 0
+    except BrokenPipeError:
+        # The reader of stdout has gone (``castrace trace ... | head``).  The
+        # rest of the report has nowhere to go; pointing stdout at devnull
+        # stops the interpreter's flush at exit from raising again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,18 +13,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import castrace.cli
 from castrace.cli import (
     _BLOCK_ROWS,
     _HARMONIC_KEY,
-    _table_rows,
+    EXIT_BROKEN_PIPE,
+    _read_curve,
     build_parser,
+    load_config,
     main,
     parse_config_text,
     report_blocks,
     write_output,
 )
+from castrace.errors import ConfigError
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FLAT_C0 = repr(-math.pi**2 / 720.0)
 
@@ -669,7 +676,7 @@ class TestJsonWriter:
     def test_empty_rows(self, tmp_path):
         extra = {"margin": 10.0, "fit": {"harmonics": [[0.1, -0.2]]}}
         out = tmp_path / "out.json"
-        write_output(out, report_blocks("design", ["n", "ok"], [], "json", extra))
+        write_output(out, report_blocks("design", ["n", "ok"], [[], []], "json", extra))
         payload = {"command": "design", **extra, "rows": []}
         assert out.read_text() == json.dumps(payload, indent=2) + "\n"
 
@@ -704,20 +711,33 @@ def mixed_rows(n):
     return [[k, 3.0**-k, k % 2 == 0, k % 3 == 0, k % 5 == 0, 7] for k in range(n)]
 
 
+def mixed_columns(n):
+    # The columns of mixed_rows(n), with the constant last column as a scalar.
+    k = range(n)
+    return [list(k), [3.0**-i for i in k], [i % 2 == 0 for i in k],
+            [i % 3 == 0 for i in k], [i % 5 == 0 for i in k], 7]
+
+
+# Scalar columns: a Python float, an np.float64 -0.0, an int and a bool.
+SCALARS = [0.1, np.float64(-0.0), 7, True]
+
+
 class TestBlockWriter:
     @pytest.mark.parametrize(
         "n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_block_boundaries(self, tmp_path, fmt, n):
+        table = float_table(n)
         cases = [
-            (["x", "y%", "z"], _table_rows(float_table(n)), float_table(n).tolist()),
-            (["n", "ell", "lo", "hi", "ok", "min"], iter(mixed_rows(n)), mixed_rows(n)),
+            (["x", "y%", "z", "f", "f64", "i", "b"], [*table.T, *SCALARS],
+             [row + SCALARS for row in table.tolist()]),
+            (["n", "ell", "lo", "hi", "ok", "min"], mixed_columns(n), mixed_rows(n)),
         ]
         extra = {"min_level": 7, "margin": 10.0}
-        for headers, rows, expected_rows in cases:
+        for headers, columns, expected_rows in cases:
             out = tmp_path / f"out.{fmt}"
-            write_output(out, report_blocks("design", headers, rows, fmt, extra))
+            write_output(out, report_blocks("design", headers, columns, fmt, extra))
             if fmt == "csv":
                 expected = reference_csv(headers, expected_rows)
             else:
@@ -725,15 +745,162 @@ class TestBlockWriter:
             assert out.read_text() == expected
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import sys, castrace.cli; print('scipy' in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-        timeout=60, check=True,
+PUBLIC_NAMES_PROBE = """
+import castrace
+names = castrace.__all__
+listed = set(names) <= set(dir(castrace))
+star = {}
+exec("from castrace import *", star)
+bound = all(star[name] is getattr(castrace, name) for name in names)
+try:
+    castrace.no_such_name
+    unknown = "resolved"
+except AttributeError:
+    unknown = "AttributeError"
+print(listed, bound, unknown)
+"""
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # Each probe runs in a fresh interpreter: a subcommand loads only its
+    # layer, and castrace's public names load on first use.
+    cfg = write_config(tmp_path, "d.cfg", "outer = 1\nreduction = 3\nseparation = 0.01\n")
+    design = f"main(['design', '--config', {cfg!r}, '--out', {str(tmp_path / 'd.csv')!r}])"
+    probes = {
+        "import sys, castrace.cli; print('scipy' in sys.modules)": "False",
+        f"import sys; from castrace.cli import main; print({design}, 'numpy' in sys.modules)":
+            "0 False",
+        "import sys, castrace; print([m for m in sys.modules if m.startswith('castrace.')])":
+            "[]",
+        PUBLIC_NAMES_PROBE: "True True AttributeError",
+    }
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for probe, expected in probes.items():
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout.strip() == expected, probe
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # The reader takes one line and closes the pipe (``castrace trace | head
+    # -n 1``); the report is far larger than a pipe buffer, so the child is
+    # still writing when the pipe closes.
+    cfg = write_config(tmp_path, "t.cfg", "c0 = 1\nd_min = 1\nd_max = 2\npoints = 100000\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    with open(tmp_path / "err.txt", "w") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "castrace.cli", "trace", "--config", cfg],
+            env=env, stdout=subprocess.PIPE, stderr=err,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b"d,e,rho_vac")
+    assert (tmp_path / "err.txt").read_text() == ""
+    assert code == EXIT_BROKEN_PIPE
+
+
+@pytest.mark.parametrize("bad_file", ["config", "input"])
+def test_non_utf8_file_is_usage_error(tmp_path, capsys, bad_file):
+    curve = tmp_path / "curve.csv"
+    curve.write_bytes(b"d,c\n1,1\n2,1\n3," + (b"\xff" if bad_file == "input" else b"1") + b"\n")
+    cfg = tmp_path / "f.cfg"
+    cfg.write_bytes(
+        f"input = {curve}\nreduction = 3\nmax_harmonics = 0\n".encode()
+        + (b"# caf\xe9\n" if bad_file == "config" else b"")
     )
-    assert result.stdout.strip() == "False"
+    assert main(["fit", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    path, byte = (cfg, "e9") if bad_file == "config" else (curve, "ff")
+    assert captured.err == f"error: {bad_file} {str(path)!r} line 4: not UTF-8 text (byte 0x{byte})\n"
+
+
+# Fuzzed inputs: keys from a small set, so duplicates are common; values empty,
+# numeric or non-ASCII; separators that are sometimes missing; invalid UTF-8.
+KEYS = st.sampled_from(["c0", "d_min", "a1", "é", "", " ", "#", "k#v", "x y"])
+VALUES = st.one_of(
+    st.sampled_from(["", "1", "-0.5", "nan", "1e400", "0, 1", "ü∞", "\u2028", "=", "#x"]),
+    st.text(max_size=6),
+)
+CONFIG_LINES = st.one_of(
+    st.tuples(KEYS, st.sampled_from(["=", " = ", "==", ""]), VALUES).map("".join),
+    st.text(max_size=12),
+)
+CONFIG_TEXT = st.lists(CONFIG_LINES, max_size=6).map("\n".join)
+# Config text around a byte sequence that is not UTF-8 (or none), and raw bytes.
+ENCODED = st.one_of(
+    st.tuples(CONFIG_TEXT, st.sampled_from([b"", b"\xff", b"\xc3(", b"\xed\xa0\x80"]), CONFIG_TEXT)
+    .map(lambda parts: parts[0].encode() + parts[1] + parts[2].encode()),
+    st.binary(max_size=40),
+)
+LINE_NUMBER = re.compile(r"line ([1-9][0-9]*)\b")
+FUZZ = settings(
+    max_examples=150, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+def assert_line_in_range(message, text_bytes):
+    lineno = int(LINE_NUMBER.search(message).group(1))
+    lines = text_bytes.decode("utf-8", "replace").splitlines()
+    assert lineno <= max(len(lines), 1)
+
+
+class TestFuzzedInputs:
+    @FUZZ
+    @given(st.lists(CONFIG_LINES, max_size=8), st.sampled_from(["\n", "\r\n"]))
+    def test_parse_config_text(self, lines, newline):
+        text = newline.join(lines)
+        try:
+            entries = parse_config_text(text)
+        except ConfigError as exc:
+            assert str(exc).startswith("line ")
+            assert_line_in_range(str(exc), text.encode())
+            return
+        for key, value in entries.items():
+            assert key and key == key.strip() and "#" not in key and "=" not in key
+            assert value == value.strip() and "#" not in value
+
+    @FUZZ
+    @given(ENCODED)
+    def test_load_config_file(self, tmp_path, data):
+        path = tmp_path / "fuzz.cfg"
+        path.write_bytes(data)
+        try:
+            load_config(str(path))
+        except ConfigError as exc:
+            assert_line_in_range(str(exc), data)
+
+    @FUZZ
+    @given(
+        st.sampled_from(["d,c", "c,d", "x,d,c", "d", "d,x", "", "é,ü"]),
+        st.lists(
+            st.lists(st.sampled_from(["1", "2.5", "0", "-1", "nan", "inf", "", "é", "1e-300"]),
+                     max_size=4).map(",".join),
+            max_size=6,
+        ),
+        st.sampled_from([b"", b"\xff", b"\xc3", b"\n\n"]),
+    )
+    def test_read_curve(self, tmp_path, header, rows, tail):
+        data = "\n".join([header, *rows]).encode() + tail
+        path = tmp_path / "fuzz.csv"
+        path.write_bytes(data)
+        try:
+            d, c, first = _read_curve(str(path))
+        except ConfigError as exc:
+            message = str(exc)
+            assert repr(str(path)) in message
+            # Only a file with no header line, or a header without d and c,
+            # is rejected as a whole; every other message names its line.
+            if "is empty" not in message and "must have 'd' and 'c'" not in message:
+                assert_line_in_range(message, data)
+            return
+        assert len(d) == len(c)
+        assert np.all(d > 0) and np.all(np.isfinite(d)) and np.all(np.isfinite(c))
+        assert first >= 2
 
 
 def reference_tables(path):

@@ -19,18 +19,15 @@ _SOURCES = {
     **dict.fromkeys(["CastraceError", "ConfigError", "DomainError", "NumericalError"], "errors"),
     **dict.fromkeys(
         [
-            "SpectralParams",
             "CoefficientModel",
             "VacuumStress",
             "ThermalState",
             "TraceReport",
-            "spectral_dimension",
             "energy_per_area",
             "normal_pressure",
             "vacuum_energy_density",
             "vacuum_stress",
             "thermal_state",
-            "fractal_vacuum_energy",
             "unified_trace",
             "ricci_scalar",
             "trace_report",
@@ -42,8 +39,6 @@ _SOURCES = {
         [
             "PlateStack",
             "ExtractionResult",
-            "reflection_delta",
-            "transmission_delta",
             "pair_energy_per_area",
             "stack_energy_per_area",
             "cantor_stack",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["PrefractalSpec", "min_feature", "check_margin", "in_window", "min_level"]
+__all__ = ["PrefractalSpec", "min_feature", "in_window", "min_level"]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the toolkit."""
 
+__all__ = ["CastraceError", "ConfigError", "DomainError", "NumericalError"]
+
 
 class CastraceError(Exception):
     """Base class for all errors raised by this package."""

@@ -49,8 +49,6 @@ from .errors import ConfigError, DomainError, NumericalError
 __all__ = [
     "PlateStack",
     "ExtractionResult",
-    "reflection_delta",
-    "transmission_delta",
     "pair_energy_per_area",
     "stack_energy_per_area",
     "cantor_stack",
@@ -68,28 +66,6 @@ _HARD = 1e300  # cap on a coupling times the smallest gap
 _T = np.arange(-144, 103) / 32.0
 _KAPPA = 0.5 * np.exp(0.5 * math.pi * np.sinh(_T))
 _WEIGHTS = _KAPPA**3 * (0.5 * math.pi / 32.0) * np.cosh(_T)
-
-
-def reflection_delta(lam: float, kappa: float) -> float:
-    """Reflection amplitude lambda/(lambda + 2 kappa) of a single plate.
-
-    Tends to 1 in the hard (Dirichlet) limit lambda -> inf and to 0 for a
-    transparent plate.
-    """
-    if not (0.0 < lam < math.inf and 0.0 < kappa < math.inf):
-        raise DomainError(
-            f"coupling and wavenumber must be positive and finite, got {lam}, {kappa}"
-        )
-    return lam / (lam + 2.0 * kappa)
-
-
-def transmission_delta(lam: float, kappa: float) -> float:
-    """Transmission amplitude 2 kappa/(lambda + 2 kappa); r + t = 1."""
-    if not (0.0 < lam < math.inf and 0.0 < kappa < math.inf):
-        raise DomainError(
-            f"coupling and wavenumber must be positive and finite, got {lam}, {kappa}"
-        )
-    return 2.0 * kappa / (lam + 2.0 * kappa)
 
 
 class PlateStack:

@@ -17,59 +17,21 @@ import numpy as np
 from .errors import DomainError, NumericalError
 
 __all__ = [
-    "SpectralParams",
     "CoefficientModel",
     "VacuumStress",
     "ThermalState",
     "TraceReport",
-    "spectral_dimension",
     "energy_per_area",
     "normal_pressure",
     "vacuum_energy_density",
     "vacuum_stress",
     "thermal_state",
-    "fractal_vacuum_energy",
     "unified_trace",
     "ricci_scalar",
     "trace_report",
 ]
 
 _TWO_PI = 2.0 * math.pi
-
-
-def spectral_dimension(d_h: float, d_w: float) -> float:
-    """Spectral dimension 2*d_h/d_w from the Hausdorff and walk dimensions."""
-    if not (0.0 < d_h < math.inf and 0.0 < d_w < math.inf):
-        raise DomainError(
-            f"dimensions must be positive and finite, got d_h={d_h}, d_w={d_w}"
-        )
-    return 2.0 * d_h / d_w
-
-
-@dataclass(frozen=True)
-class SpectralParams:
-    """Dimension triple of a self-similar structure.
-
-    d_h and d_w are optional; when both are given they must reproduce d_s
-    through d_s = 2*d_h/d_w (relative tolerance 1e-12).
-    """
-
-    d_s: float
-    d_h: float | None = None
-    d_w: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.d_s < math.inf:
-            raise DomainError(f"d_s must be positive and finite, got {self.d_s}")
-        if (self.d_h is None) != (self.d_w is None):
-            raise DomainError("d_h and d_w must be given together")
-        if self.d_h is not None:
-            implied = spectral_dimension(self.d_h, self.d_w)
-            if abs(implied - self.d_s) > 1e-12 * abs(self.d_s):
-                raise DomainError(
-                    f"inconsistent dimensions: 2*d_h/d_w = {implied!r} "
-                    f"but d_s = {self.d_s!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -223,17 +185,6 @@ def thermal_state(u_th: float, v_s: float, d_s: float) -> ThermalState:
     p = rho / d_s
     trace = rho * (3.0 / d_s - 1.0)
     return ThermalState(u_th=u_th, v_s=v_s, d_s=d_s, rho_th=rho, p_th=p, trace=trace)
-
-
-def fractal_vacuum_energy(l_s: float, zeta_half: float) -> float:
-    """Zeta-regularized ground-state energy zeta_half/(2*l_s).
-
-    ``zeta_half`` is the caller-supplied value of the spectral zeta function
-    at -1/2; computing it from an actual spectrum is out of scope here.
-    """
-    if not 0.0 < l_s < math.inf:
-        raise DomainError(f"spectral length must be positive and finite, got {l_s}")
-    return zeta_half / (2.0 * l_s)
 
 
 def unified_trace(thermal: ThermalState, model: CoefficientModel, d: float) -> float:

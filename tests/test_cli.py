@@ -1,6 +1,7 @@
 """Command line front end: configs, formats, exit codes, determinism."""
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -783,6 +784,18 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         assert result.stdout.strip() == expected, probe
 
 
+LAYERS = ["errors", "trace", "design", "scattering", "logfit"]
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_export_table_matches_module_all(module):
+    # castrace resolves its public names through one table; a layer's
+    # __all__ and that table list the same names in the same order.
+    assert set(castrace._SOURCES.values()) == set(LAYERS)
+    listed = [name for name, source in castrace._SOURCES.items() if source == module]
+    assert listed == importlib.import_module(f"castrace.{module}").__all__
+
+
 def test_closed_stdout_exits_quietly(tmp_path):
     # The reader takes one line and closes the pipe (``castrace trace | head
     # -n 1``); the report is far larger than a pipe buffer, so the child is
@@ -816,6 +829,27 @@ def test_non_utf8_file_is_usage_error(tmp_path, capsys, bad_file):
     assert captured.out == ""
     path, byte = (cfg, "e9") if bad_file == "config" else (curve, "ff")
     assert captured.err == f"error: {bad_file} {str(path)!r} line 4: not UTF-8 text (byte 0x{byte})\n"
+
+
+# Each asks for more than a 64-bit address space holds, so the allocation
+# fails at once: design's level list runs to min_level ~ 1e16, and trace's
+# grid would take 7.11 PiB.
+MEMORY_HUNGRY = {
+    "design": "outer = 10\nreduction = 1.0000000000000002\nseparation = 1\n",
+    "trace": "c0 = 1\nd_min = 1\nd_max = 2\npoints = 1000000000000000\n",
+}
+
+
+@pytest.mark.parametrize("command", MEMORY_HUNGRY)
+def test_memory_exhaustion_is_usage_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, "m.cfg", MEMORY_HUNGRY[command])
+    for out in ([], ["--out", str(tmp_path / "sub" / "x")]):
+        assert main([command, "--config", cfg, *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {command} ran out of memory")
+        assert captured.err.count("\n") == 1
+    assert not (tmp_path / "sub").exists()
 
 
 # Fuzzed inputs: keys from a small set, so duplicates are common; values empty,

@@ -23,6 +23,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from castrace import scattering
 from castrace import (
@@ -34,9 +36,7 @@ from castrace import (
     extract_coefficient,
     mirror_pair,
     pair_energy_per_area,
-    reflection_delta,
     stack_energy_per_area,
-    transmission_delta,
 )
 
 DIRICHLET_INTEGRAL = -math.pi**4 / 360.0
@@ -78,34 +78,6 @@ def test_dirichlet_series_oracle():
     for n in range(40_000, 0, -1):
         total -= (1.0 / n) * 2.0 / (2.0 * n) ** 3
     assert abs(total - DIRICHLET_INTEGRAL) < 1e-14
-
-
-class TestReflection:
-    def test_dirichlet_limit(self):
-        assert reflection_delta(1e14, 1.0) == pytest.approx(1.0, rel=1e-12)
-
-    def test_half_reflection(self):
-        assert reflection_delta(2.0, 1.0) == 0.5
-
-    def test_transparent_limit(self):
-        assert reflection_delta(1e-14, 1.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_unitarity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            lam = float(rng.uniform(1e-3, 1e3))
-            kappa = float(rng.uniform(1e-3, 1e3))
-            r = reflection_delta(lam, kappa)
-            t = transmission_delta(lam, kappa)
-            assert 0.0 < r < 1.0 and 0.0 < t < 1.0
-            assert r + t == pytest.approx(1.0, abs=1e-15)
-
-    def test_domain_errors(self):
-        for fn in (reflection_delta, transmission_delta):
-            with pytest.raises(DomainError):
-                fn(0.0, 1.0)
-            with pytest.raises(DomainError):
-                fn(1.0, -1.0)
 
 
 class TestPairEnergy:
@@ -210,6 +182,21 @@ class TestPlateStack:
                 array[0] = 3.0
 
 
+GRID = 2.0**-10  # plate positions are integer multiples of this
+
+
+@st.composite
+def grid_stacks(draw):
+    """2-40 plates on the GRID, gaps within a factor 1e3 of each other and
+    lambda*g_min in [1e-2, 1e2]."""
+    n = draw(st.integers(2, 40))
+    unit = draw(st.integers(1, 1024))
+    steps = draw(st.lists(st.integers(unit, 1000 * unit), min_size=n - 1, max_size=n - 1))
+    start = draw(st.integers(-(2**20), 2**20))
+    strengths = draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n))
+    return PlateStack(np.cumsum([start, *steps]) * GRID, np.array(strengths) / (min(steps) * GRID))
+
+
 class TestStackEnergy:
     def test_two_plate_reduction(self):
         rng = np.random.default_rng(19)
@@ -239,6 +226,19 @@ class TestStackEnergy:
         e = stack_energy_per_area(stack)
         e_scaled = stack_energy_per_area(stack.scaled(s))
         assert e_scaled * s**3 == pytest.approx(e, rel=1e-9)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(grid_stacks(), st.integers(-(2**30), 2**30), st.integers(-20, 20))
+    def test_random_stack_invariances(self, stack, shift, k):
+        # Shifts on the grid and power-of-two scalings are exact in floating
+        # point, so the energy must not move by a single bit; the reflected
+        # stack runs the recursion the other way and agrees to rounding.
+        e = stack_energy_per_area(stack)
+        assert stack_energy_per_area(stack.translated(shift * GRID)) == e
+        s = 2.0**k
+        assert stack_energy_per_area(stack.scaled(s)) * s**3 == e
+        reflected = PlateStack([-z for z in reversed(stack.positions)], reversed(stack.couplings))
+        assert rel_err(stack_energy_per_area(reflected), e) <= 1e-14
 
     def test_cluster_decomposition(self):
         # Far right body at 1000x the outer scale.  At these couplings the

@@ -10,13 +10,10 @@ from castrace import (
     CoefficientModel,
     DomainError,
     NumericalError,
-    SpectralParams,
     TraceReport,
     energy_per_area,
-    fractal_vacuum_energy,
     normal_pressure,
     ricci_scalar,
-    spectral_dimension,
     thermal_state,
     trace_report,
     unified_trace,
@@ -40,46 +37,6 @@ def random_model(rng, k=None) -> CoefficientModel:
         harmonics=harmonics,
         ell_star=float(rng.uniform(0.2, 5.0)),
     )
-
-
-class TestSpectralDimension:
-    def test_euclidean_identity(self):
-        assert spectral_dimension(2.0, 2.0) == 2.0
-
-    def test_gasket_constants(self):
-        d_h = math.log(3) / math.log(2)
-        d_w = math.log(5) / math.log(2)
-        expected = 2.0 * math.log(3) / math.log(5)
-        assert spectral_dimension(d_h, d_w) == pytest.approx(expected, rel=1e-15)
-        assert expected == pytest.approx(1.36521, abs=1e-5)
-
-    def test_brownian_walk_recovers_hausdorff(self):
-        assert spectral_dimension(3.0, 2.0) == 3.0
-
-    @pytest.mark.parametrize("d_h,d_w", [(0.0, 2.0), (-1.0, 2.0), (2.0, 0.0), (2.0, -3.0)])
-    def test_nonpositive_inputs_rejected(self, d_h, d_w):
-        with pytest.raises(DomainError):
-            spectral_dimension(d_h, d_w)
-
-
-class TestSpectralParams:
-    def test_consistent_triple_accepted(self):
-        d_h = math.log(3) / math.log(2)
-        d_w = math.log(5) / math.log(2)
-        params = SpectralParams(d_s=spectral_dimension(d_h, d_w), d_h=d_h, d_w=d_w)
-        assert params.d_s == pytest.approx(1.36521, abs=1e-5)
-
-    def test_inconsistent_triple_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralParams(d_s=1.5, d_h=2.0, d_w=2.0)
-
-    def test_half_specified_pair_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralParams(d_s=2.0, d_h=2.0)
-
-    def test_nonpositive_ds_rejected(self):
-        with pytest.raises(DomainError):
-            SpectralParams(d_s=0.0)
 
 
 class TestCoefficientModel:
@@ -298,18 +255,6 @@ class TestThermalState:
             thermal_state(1.0, 0.0, 3.0)
         with pytest.raises(DomainError):
             thermal_state(1.0, 1.0, -2.0)
-
-
-class TestFractalVacuumEnergy:
-    @pytest.mark.parametrize(
-        "l_s,zeta,expected", [(1.0, -0.5, -0.25), (2.0, -0.5, -0.125), (1.0, 0.0, 0.0)]
-    )
-    def test_direct_substitution(self, l_s, zeta, expected):
-        assert fractal_vacuum_energy(l_s, zeta) == expected
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            fractal_vacuum_energy(0.0, -0.5)
 
 
 class TestUnifiedTrace:

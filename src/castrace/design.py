@@ -9,32 +9,60 @@ parametrizes the "d much smaller than L" requirement (default 10).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 
 __all__ = ["PrefractalSpec", "min_feature", "in_window", "min_level"]
 
 
-@dataclass(frozen=True)
 class PrefractalSpec:
-    """Outer scale, reduction factor and iteration level of a device."""
+    """Outer scale, reduction factor and iteration level of a device.
 
-    outer_scale: float
-    reduction: float
-    level: int
+    Immutable; two specs are equal, and hash alike, when all three fields
+    are.
+    """
 
-    def __post_init__(self):
-        if not 0.0 < self.outer_scale < math.inf:
+    __slots__ = ("outer_scale", "reduction", "level")
+
+    def __init__(self, outer_scale: float, reduction: float, level: int):
+        if not 0.0 < outer_scale < math.inf:
             raise DomainError(
-                f"outer scale must be positive and finite, got {self.outer_scale}"
+                f"outer scale must be positive and finite, got {outer_scale}"
             )
-        if not 1.0 < self.reduction < math.inf:
+        if not 1.0 < reduction < math.inf:
             raise DomainError(
-                f"reduction factor must be finite and exceed 1, got {self.reduction}"
+                f"reduction factor must be finite and exceed 1, got {reduction}"
             )
-        if self.level < 0 or self.level != int(self.level):
-            raise DomainError(f"level must be a nonnegative integer, got {self.level}")
+        if level < 0 or level != int(level):
+            raise DomainError(f"level must be a nonnegative integer, got {level}")
+        for name, value in zip(self.__slots__, (outer_scale, reduction, level)):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return self.outer_scale, self.reduction, self.level
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return PrefractalSpec, self._fields()
+
+    def __repr__(self) -> str:
+        return (
+            f"PrefractalSpec(outer_scale={self.outer_scale!r}, "
+            f"reduction={self.reduction!r}, level={self.level!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
 
 
 def min_feature(spec: PrefractalSpec) -> float:

@@ -21,12 +21,19 @@ ends at once, so each step grows both halves of the stack, and the halves
 join across the middle gap m by the two-body term ln(1 - R_L R_R e_m)
 (Kenneth & Klich, PRB 78, 014103 (2008)); see ``_log_det``.  It is
 evaluated in complement form, so no step subtracts nearly equal numbers,
-neither as kappa -> 0 nor in the Born limit lambda*g -> 0.
+neither as kappa -> 0 nor in the Born limit lambda*g -> 0.  The factors of
+a step that do not depend on R are computed ahead, for 32 steps at a time:
+those of the gap (e and expm1) per step, and r, tau and tau^2 once per
+stack when every plate shares one coupling (a Cantor stack, a mirror pair
+of one), else per step.
 
 Rule.  One exp-sinh trapezoid rule (Takahasi & Mori, 1974) on
 kappa = x/(2 g_min): x = exp((pi/2) sinh t) at t = k h, h = 1/32 and
-k = -144..102 (t from -4.5 to 3.19), 247 nodes in one kernel pass.  The
-error estimate is the shift against the rule of step 2h on the
+k = -144..102 (t from -4.5 to 3.19), 247 nodes.  The kernel runs, in one
+pass, on the first 213 (k <= 68): from k = 69 on, exp(-2 kappa g) is 0 in
+double precision at every gap, so ln Delta is exactly zero there, and both
+sums below still run over all 247 values in the same order.  The error
+estimate is the shift against the rule of step 2h on the
 even-indexed nodes; a shift above a relative 1e-9 raises NumericalError,
 as does a non-finite energy.  The shift is the error of the 2h rule, so it
 is a loose bound on the value returned: on stacks whose shift came near
@@ -39,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass
-from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,18 +73,27 @@ _HARD = 1e300  # cap on a coupling times the smallest gap
 _T = np.arange(-144, 103) / 32.0
 _KAPPA = 0.5 * np.exp(0.5 * math.pi * np.sinh(_T))
 _WEIGHTS = _KAPPA**3 * (0.5 * math.pi / 32.0) * np.cosh(_T)
+# Every gap is at least g_min, so e = exp(-2 kappa g) <= exp(-2 kappa g_min),
+# which underflows to 0 from node _LIVE = 213 (t = 69/32) on: there every
+# step has D = 1 and r R e = 0, and ln Delta is exactly zero.
+_LIVE = int(np.count_nonzero(np.exp(-2.0 * _KAPPA)))
+_TWO_K = 2.0 * _KAPPA[:_LIVE]
 
 
 class PlateStack:
     """Ordered planar stack: strictly increasing positions, one coupling each.
 
-    The geometry is held in two read-only float64 arrays, which the energy
-    functions use as they are; ``positions`` and ``couplings`` are tuples of
-    floats built from them on access.  Stacks are immutable, compare equal
-    when their positions and couplings are equal, and hash alike then.
+    The positions are held as a read-only float64 array; a stack from
+    ``cantor_stack`` holds them instead as its integer endpoints over one
+    denominator, and ``_z`` rounds them to the same floats on each access.
+    The couplings are held as a read-only float64 array, or as one float
+    when every plate shares the coupling.  The energy functions use these
+    as they are; ``positions`` and ``couplings`` are tuples of floats built
+    from them on access.  Stacks are immutable, compare equal when their
+    positions and couplings are equal, and hash alike then.
     """
 
-    __slots__ = ("_z", "_lam")
+    __slots__ = ("_pos", "_lam")
 
     def __init__(self, positions: Iterable[float], couplings: Iterable[float]):
         z = np.fromiter(positions, dtype=float)
@@ -95,10 +111,11 @@ class PlateStack:
                 f"couplings must be positive and finite, got {tuple(lam.tolist())}"
             )
         if (lam == lam[0]).all():  # a coupling shared by every plate is held once
-            lam = np.broadcast_to(lam[0], lam.shape)
+            lam = float(lam[0])
+        else:
+            lam.flags.writeable = False
         z.flags.writeable = False
-        lam.flags.writeable = False
-        object.__setattr__(self, "_z", z)
+        object.__setattr__(self, "_pos", z)
         object.__setattr__(self, "_lam", lam)
 
     def __setattr__(self, name, value):
@@ -108,7 +125,7 @@ class PlateStack:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return PlateStack, (self._z, self._lam)
+        return PlateStack, (self._z, self._lam_per_plate())
 
     def __repr__(self) -> str:
         return f"PlateStack(positions={self.positions!r}, couplings={self.couplings!r})"
@@ -122,7 +139,22 @@ class PlateStack:
         return hash((self.positions, self.couplings))
 
     def __len__(self) -> int:
-        return self._z.size
+        pos = self._pos
+        return len(pos[0]) if isinstance(pos, tuple) else len(pos)
+
+    @property
+    def _z(self) -> np.ndarray:
+        """The positions as a read-only float64 array."""
+        pos = self._pos
+        if not isinstance(pos, tuple):
+            return pos
+        z = np.array(_round_ends(*pos))
+        z.flags.writeable = False
+        return z
+
+    def _lam_per_plate(self) -> np.ndarray:
+        """The couplings as a read-only array with one entry per plate."""
+        return np.broadcast_to(self._lam, len(self))
 
     @property
     def positions(self) -> tuple[float, ...]:
@@ -130,7 +162,7 @@ class PlateStack:
 
     @property
     def couplings(self) -> tuple[float, ...]:
-        return tuple(self._lam.tolist())
+        return tuple(self._lam_per_plate().tolist())
 
     @property
     def gaps(self) -> tuple[float, ...]:
@@ -144,23 +176,24 @@ class PlateStack:
 
     @property
     def span(self) -> float:
-        return float(self._z[-1] - self._z[0])
+        z = self._z
+        return float(z[-1] - z[0])
 
     def scaled(self, s: float) -> "PlateStack":
         """Geometric rescaling z -> s*z with couplings lambda -> lambda/s."""
         if not 0.0 < s < math.inf:
             raise DomainError(f"scale factor must be positive and finite, got {s}")
-        return PlateStack(self._z * s, self._lam / s)
+        return PlateStack(self._z * s, self._lam_per_plate() / s)
 
     def translated(self, dz: float) -> "PlateStack":
-        return PlateStack(self._z + dz, self._lam)
+        return PlateStack(self._z + dz, self._lam_per_plate())
 
 
 def mirror_pair(stack: PlateStack, gap: float) -> PlateStack:
     """Stack joined with its mirror image, nearest plates separated by ``gap``."""
     if not 0.0 < gap < math.inf:
         raise DomainError(f"gap must be positive and finite, got {gap}")
-    z, lam = stack._z, stack._lam
+    z, lam = stack._z, stack._lam_per_plate()
     mirrored = 2.0 * (z[-1] + gap / 2.0) - z[::-1]
     return PlateStack(np.concatenate((z, mirrored)), np.concatenate((lam, lam[::-1])))
 
@@ -176,8 +209,9 @@ class ExtractionResult:
 
 
 _BLOCK = 32  # recursion steps whose gap factors are computed together
-# Gap factors (r, base, re, t2e, tauo, taue) of a step that adds no plate.
-_IDENTITY = (0.0, 1.0, 0.0, 1.0, 0.0, 1.0)
+# Factors (r, base, re, t2e, tau_em1, taue) of a step that adds no plate;
+# P -= -0.0 is P + 0.0, bit for bit.
+_IDENTITY = (0.0, 1.0, 0.0, 1.0, -0.0, 1.0)
 
 
 def _log_d(d: np.ndarray, arg: np.ndarray) -> np.ndarray:
@@ -187,8 +221,8 @@ def _log_d(d: np.ndarray, arg: np.ndarray) -> np.ndarray:
     return np.log1p(arg, where=born, out=out)
 
 
-def _log_det(gaps: np.ndarray, couplings: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """ln Delta(kappa), by the Parratt recursion run from both ends at once.
+def _log_det(gaps: np.ndarray, couplings) -> np.ndarray:
+    """ln Delta at the rule's first _LIVE nodes, by the Parratt recursion.
 
     A chain of plates carries R, its reflection amplitude seen from the side
     it grows towards, and P = 1 + R.  The left chain starts at the first
@@ -200,10 +234,15 @@ def _log_det(gaps: np.ndarray, couplings: np.ndarray, kappa: np.ndarray) -> np.n
 
     with e = exp(-2 kappa g_m), so ln Delta is the sum of ln D over the
     steps of both chains plus ln D of this join.  A pair is the join alone.
+    ``couplings`` is an array with one entry per plate, or one float shared
+    by every plate.
     """
-    two_k = 2.0 * kappa
+    two_k = _TWO_K
     n = gaps.size
-    ends = couplings[::n, None]  # the first and the last plate
+    if isinstance(couplings, float):
+        ends = np.full((2, 1), couplings)
+    else:
+        ends = couplings[::n, None]  # the first and the last plate
     inv = 1.0 / (ends + two_k)
     refl = -ends * inv  # R of the left chain (row 0) and the right one (row 1)
     comp = two_k * inv  # P = 1 + R
@@ -230,37 +269,53 @@ def _grow_chains(gaps, couplings, two_k, refl, comp) -> list[np.ndarray]:
     relative precision on the Born side, where 1 - P would lose it, and P
     keeps its where R -> -1.  Step j adds plate j+1 across gap j to the
     left chain and plate n-1-j across gap n-1-j to the right one, as the two
-    rows of (2, nodes) arrays.  Every factor that depends on the gap and the
-    plate alone is computed ahead, _BLOCK steps at a time so that no
-    temporary outgrows the allocator's small-block range, and the logs of a
-    block are taken once its steps are done.  With an odd plate count the
+    rows of (2, nodes) arrays.  The factors of a step (r, D - r e P, r e,
+    tau^2 e, tau expm1, tau e) are computed ahead, _BLOCK steps at a time
+    so that no temporary outgrows the allocator's small-block range, and
+    the logs of a block are taken once its steps are done.  A coupling
+    shared by every plate gives r, tau and tau^2 once per call, read off the
+    chains' first plates (R = -r, P = tau).  With an odd plate count the
     right chain is one step short; its last step is given the exact
     identity factors.
     """
     n = gaps.size
     m = n // 2
-    steps = np.zeros((2, m, 2, 1))  # (lam, gap) by step and chain
-    steps[0, :, 0, 0] = couplings[1:m + 1]
-    steps[1, :, 0, 0] = gaps[:m]
-    steps[0, :n - 1 - m, 1, 0] = couplings[n - 1:m:-1]
-    steps[1, :n - 1 - m, 1, 0] = gaps[n - 1:m:-1]
+    gap = np.zeros((m, 2, 1))  # by step and chain
+    gap[:, 0, 0] = gaps[:m]
+    gap[:n - 1 - m, 1, 0] = gaps[n - 1:m:-1]
+    shared = isinstance(couplings, float)
+    if shared:
+        r, tau = -refl, comp.copy()
+        tau2 = tau * tau
+    else:
+        lam = np.zeros_like(gap)
+        lam[:, 0, 0] = couplings[1:m + 1]
+        lam[:n - 1 - m, 1, 0] = couplings[n - 1:m:-1]
+    neg_two_k = -two_k
     d = np.empty((min(m, _BLOCK),) + refl.shape)
     arg = np.empty_like(d)  # D - 1 = r R e, in (-1, 0]
     ln_d = []
     for start in range(0, m, _BLOCK):
-        lam, gap = steps[:, start:start + _BLOCK]
-        count = len(lam)
-        inv = 1.0 / (lam + two_k)
-        r = lam * inv
-        tau = two_k * inv
-        x = -two_k * gap
-        e = np.exp(x)
-        open_ = -np.expm1(x)
-        factors = (r, open_ + e * tau, r * e, tau * tau * e, tau * open_, tau * e)
-        if start + count == m and n % 2 == 0:
+        stop = min(start + _BLOCK, m)
+        if not shared:
+            inv = 1.0 / (lam[start:stop] + two_k)
+            r, tau = lam[start:stop] * inv, two_k * inv
+            tau2 = tau * tau
+        x = neg_two_k * gap[start:stop]
+        em1 = np.expm1(x)
+        e = np.exp(x, out=x)
+        tau_e = tau * e
+        # base = tau e - expm1 is -expm1 + tau e, and P -= tau expm1 adds
+        # tau (-expm1) = tau (1 - e): negations moved, so the same bits.
+        factors = [
+            np.broadcast_to(r, e.shape), tau_e - em1, r * e, tau2 * e,
+            np.multiply(tau, em1, out=em1), tau_e,
+        ]
+        if stop == m and n % 2 == 0:
+            factors[0] = factors[0].copy()
             for f, one in zip(factors, _IDENTITY):
                 f[-1, 1] = one
-        for k, (r_k, base, re, t2e, tauo, taue) in enumerate(zip(*factors)):
+        for k, (r_k, base, re, t2e, tau_em1, taue) in enumerate(zip(*factors)):
             d_k = np.multiply(re, comp, out=d[k])
             d_k += base
             np.multiply(re, refl, out=arg[k])
@@ -268,24 +323,30 @@ def _grow_chains(gaps, couplings, two_k, refl, comp) -> list[np.ndarray]:
             refl /= d_k
             refl -= r_k
             comp *= taue
-            comp += tauo
+            comp -= tau_em1
             comp /= d_k
-        ln_d.append(_log_d(d[:count], arg[:count]).sum(axis=(0, 1)))
+        ln_d.append(_log_d(d[:stop - start], arg[:stop - start]).sum(axis=(0, 1)))
     return ln_d
 
 
-def _energy(gaps: np.ndarray, couplings: np.ndarray) -> float:
+def _energy(gaps: np.ndarray, couplings) -> float:
     """(1/4 pi^2) int_0^inf kappa^2 ln Delta(kappa) dkappa by the exp-sinh rule.
 
     The kernel runs on the dimensionless stack, gaps in units of the
     smallest gap g and couplings times g; the energy scales back by 1/g^3.
     A coupling times g above _HARD is a perfect mirror to double precision
     at every node, so it is capped there rather than let overflow to inf.
+    Beyond the first _LIVE nodes ln Delta is exactly zero; those entries of
+    ``vals`` stay 0.0, so both sums run over all nodes in the same order.
     """
     g = float(np.min(gaps))
-    with np.errstate(over="ignore"):
-        lam_g = np.minimum(couplings * g, _HARD)
-    vals = _WEIGHTS * _log_det(gaps / g, lam_g, _KAPPA)
+    if isinstance(couplings, float):
+        lam_g = min(couplings * g, _HARD)
+    else:
+        with np.errstate(over="ignore"):
+            lam_g = np.minimum(couplings * g, _HARD)
+    vals = np.zeros(_KAPPA.size)
+    np.multiply(_WEIGHTS[:_LIVE], _log_det(gaps / g, lam_g), out=vals[:_LIVE])
     fine = float(np.sum(vals))
     coarse = 2.0 * float(np.sum(vals[::2]))
     shift = abs(fine - coarse)
@@ -329,13 +390,43 @@ def stack_energy_per_area(stack: PlateStack) -> float:
     return _energy(np.diff(stack._z), stack._lam)
 
 
+def _ratio(x) -> tuple[int, int]:
+    """A finite number x as integers (p, q) with x = p/q exactly."""
+    return (int(x), 1) if x == int(x) else float(x).as_integer_ratio()
+
+
+@lru_cache(maxsize=16)
+def _cantor_ends(level: int, p: int, q: int) -> tuple[int, ...]:
+    """Endpoints of the level-n Cantor set on [0, 1] with b = p/q, times p**n.
+
+    A child keeps q/p of its parent segment, so the endpoints of level k
+    are integers over p**k: [lo, hi] has the children [lo p, lo p + (hi - lo)
+    q] and [hi p - (hi - lo) q, hi p].  Stacks of one level and reduction
+    share the tuple.
+    """
+    ends = [0, 1]
+    for _ in range(level):
+        nxt = []
+        for lo, hi in zip(ends[::2], ends[1::2]):
+            cut = (hi - lo) * q
+            nxt += (lo * p, lo * p + cut, hi * p - cut, hi * p)
+        ends = nxt
+    return tuple(ends)
+
+
+def _round_ends(ends: tuple[int, ...], num: int, den: int) -> list[float]:
+    """Each k * num / den, rounded once: int / int is correctly rounded."""
+    return [k * num / den for k in ends]
+
+
 def cantor_stack(level: int, outer: float, lam: float, b: float = 3.0) -> PlateStack:
     """Level-n Cantor stack of equal-strength plates on [0, outer].
 
     Level 0 is the outer pair; each further level keeps the first and last
     1/b of every segment, so level n carries 2**(n+1) plates.  Endpoints are
-    generated as exact rationals and rounded once at the end, which keeps
-    nominally equal positions bit-identical across levels.
+    generated as exact integer ratios and rounded once at the end, which
+    keeps nominally equal positions bit-identical across levels.  The stack
+    holds the integers, not the 2**(n+1) floats (see ``PlateStack``).
     """
     if level < 0 or level != int(level):
         raise DomainError(f"level must be a nonnegative integer, got {level}")
@@ -349,22 +440,13 @@ def cantor_stack(level: int, outer: float, lam: float, b: float = 3.0) -> PlateS
             f"children, got {b}"
         )
 
-    shrink = 1 / Fraction(b)
-    segments = [(Fraction(0), Fraction(1))]
-    for _ in range(int(level)):
-        nxt = []
-        for lo, hi in segments:
-            width = hi - lo
-            nxt.append((lo, lo + width * shrink))
-            nxt.append((hi - width * shrink, hi))
-        segments = nxt
-
-    scale = Fraction(outer)
-    endpoints = []
-    for lo, hi in segments:
-        endpoints.append(float(lo * scale))
-        endpoints.append(float(hi * scale))
-    return PlateStack(endpoints, (lam,) * len(endpoints))
+    p, q = _ratio(b)
+    ends = _cantor_ends(int(level), p, q)
+    num, den = _ratio(outer)
+    pos = ends, num, den * p ** int(level)
+    stack = PlateStack(_round_ends(*pos), (lam,) * len(ends))  # validates them
+    object.__setattr__(stack, "_pos", pos)
+    return stack
 
 
 def extract_coefficient(

@@ -767,9 +767,13 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     # layer, and castrace's public names load on first use.
     cfg = write_config(tmp_path, "d.cfg", "outer = 1\nreduction = 3\nseparation = 0.01\n")
     design = f"main(['design', '--config', {cfg!r}, '--out', {str(tmp_path / 'd.csv')!r}])"
+    stack_cfg = write_config(tmp_path, "s.cfg", "level = 2\nouter = 1\ncoupling = 5\n")
+    stack = f"main(['stack', '--config', {stack_cfg!r}, '--out', {str(tmp_path / 's.csv')!r}])"
+    loaded = "[m for m in ('numpy', 'dataclasses', 'inspect', 'fractions') if m in sys.modules]"
     probes = {
         "import sys, castrace.cli; print('scipy' in sys.modules)": "False",
-        f"import sys; from castrace.cli import main; print({design}, 'numpy' in sys.modules)":
+        f"import sys; from castrace.cli import main; print({design}, {loaded})": "0 []",
+        f"import sys; from castrace.cli import main; print({stack}, 'fractions' in sys.modules)":
             "0 False",
         "import sys, castrace; print([m for m in sys.modules if m.startswith('castrace.')])":
             "[]",

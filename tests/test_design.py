@@ -1,5 +1,7 @@
 """Prefractal window calculus: worked examples and random-triple properties."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,21 @@ class TestMinFeature:
             sizes = [min_feature(PrefractalSpec(L, b, n)) for n in range(8)]
             assert all(s <= L for s in sizes)
             assert all(a > b_ for a, b_ in zip(sizes, sizes[1:]))
+
+    def test_spec_is_an_immutable_value(self):
+        spec = PrefractalSpec(outer_scale=2.0, reduction=3.0, level=4)
+        assert repr(spec) == "PrefractalSpec(outer_scale=2.0, reduction=3.0, level=4)"
+        assert spec == PrefractalSpec(2.0, 3.0, 4) and spec != PrefractalSpec(2.0, 3.0, 5)
+        assert spec != (2.0, 3.0, 4)
+        assert hash(spec) == hash(PrefractalSpec(2.0, 3.0, 4)) == hash((2.0, 3.0, 4))
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        with pytest.raises(AttributeError):
+            spec.level = 5
+        with pytest.raises(AttributeError):
+            del spec.level
+        with pytest.raises(AttributeError):
+            spec.extra = 1
+        assert spec.level == 4
 
     def test_bad_spec_rejected(self):
         with pytest.raises(DomainError):

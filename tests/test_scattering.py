@@ -15,11 +15,21 @@ Frozen reference numbers, all computed independently of the engine:
   changed no double.
 * MP_ASYMMETRIC: the same oracle on two stacks with an odd plate count and
   no mirror symmetry, keyed by plate count; 40 digits changed neither.
+
+FROZEN_BITS (data/frozen_energies.json) is not an oracle: it holds the
+engine's own outputs on ``frozen_cases()`` as ``float.hex`` strings, or the
+exact message of the error raised, so a change meant to be a pure speed-up
+can show that no energy moved by a single bit.
 """
 
 import dataclasses
+import json
 import math
 import pickle
+import random
+from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +38,7 @@ from hypothesis import strategies as st
 
 from castrace import scattering
 from castrace import (
+    CastraceError,
     ConfigError,
     DomainError,
     NumericalError,
@@ -67,6 +78,7 @@ MP_ASYMMETRIC = {
     5: ((0.0, 0.2, 0.5, 0.6, 1.3), (1.5, 4.0, 0.3, 9.0, 2.5), -0.1034764767982942),
 }
 ORACLE_TOL = 1e-12
+FROZEN_BITS = Path(__file__).resolve().parent / "data" / "frozen_energies.json"
 
 
 def rel_err(value, ref):
@@ -169,17 +181,32 @@ class TestPlateStack:
 
     def test_immutable(self):
         source = np.array([0.0, 1.0])
-        stack = PlateStack(source, (1.0, 1.0))
-        source[1] = 5.0  # the stack holds its own copy
-        assert stack.positions == (0.0, 1.0)
+        lam = np.array([1.0, 2.0])
+        stack = PlateStack(source, lam)
+        shared = PlateStack(source, np.array([3.0, 3.0]))
+        source[1] = 5.0  # the stacks hold their own copies
+        lam[1] = 5.0
+        assert stack.positions == (0.0, 1.0) and stack.couplings == (1.0, 2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             stack.positions = (0.0, 2.0)
         with pytest.raises(AttributeError):
             stack.extra = 1
-        for array in (stack._z, stack._lam):
+        for array in (stack._z, stack._lam, shared._z, cantor_stack(2, 1.0, 1.0)._z):
             assert array.dtype == np.float64 and not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 3.0
+        # A coupling shared by every plate is held as one Python float.
+        assert type(shared._lam) is float and shared.couplings == (3.0, 3.0)
+
+    def test_shared_coupling_round_trips(self):
+        stack = PlateStack((0.0, 0.25, 1.0), (2.0, 2.0, 2.0))
+        assert stack == PlateStack(np.array([0.0, 0.25, 1.0]), np.full(3, 2.0))
+        assert stack != PlateStack((0.0, 0.25, 1.0), (2.0, 2.0, 2.5))
+        assert pickle.loads(pickle.dumps(stack)) == stack
+        assert stack.scaled(2.0) == PlateStack((0.0, 0.5, 2.0), (1.0, 1.0, 1.0))
+        assert stack.translated(1.0).couplings == (2.0, 2.0, 2.0)
+        joined = mirror_pair(stack, 0.5)
+        assert joined.couplings == (2.0,) * 6 and type(joined._lam) is float
 
 
 GRID = 2.0**-10  # plate positions are integer multiples of this
@@ -397,14 +424,16 @@ class TestTwoEndedKernel:
 
     def test_identity_step_is_exact(self):
         # Three plates: the right chain is the last plate alone, so its one
-        # step adds nothing and must leave R and P as they were, bit for bit.
-        two_k = 2.0 * scattering._KAPPA
-        lam = np.array([0.3, 4.0, 7.0])
-        inv = 1.0 / (lam[::2, None] + two_k)
-        refl, comp = -lam[::2, None] * inv, two_k * inv
-        right = refl[1].copy(), comp[1].copy()
-        scattering._grow_chains(np.array([1.0, 2.5]), lam, two_k, refl, comp)
-        assert np.array_equal(refl[1], right[0]) and np.array_equal(comp[1], right[1])
+        # step adds nothing and must leave R and P as they were, bit for bit,
+        # with a coupling per plate or one shared by all three.
+        two_k = scattering._TWO_K
+        for couplings in (np.array([0.3, 4.0, 7.0]), 4.0):
+            ends = np.broadcast_to(couplings, (3,))[::2, None]
+            inv = 1.0 / (ends + two_k)
+            refl, comp = -ends * inv, two_k * inv
+            right = refl[1].copy(), comp[1].copy()
+            scattering._grow_chains(np.array([1.0, 2.5]), couplings, two_k, refl, comp)
+            assert np.array_equal(refl[1], right[0]) and np.array_equal(comp[1], right[1])
 
     @pytest.mark.parametrize("n", sorted(MP_ASYMMETRIC))
     def test_uneven_chains_match_mpmath(self, n):
@@ -445,6 +474,39 @@ class TestCantorStack:
     def test_general_reduction_factor(self):
         stack = cantor_stack(1, 1.0, 1.0, b=4.0)
         assert stack.positions == (0.0, 0.25, 0.75, 1.0)
+
+    @pytest.mark.parametrize("b", [2.5, 3, 3.7, 10.0, 64.0 / 3.0])
+    def test_endpoints_match_exact_rationals(self, b):
+        # Reference: every endpoint as a Fraction, rounded once by float().
+        segments = [(Fraction(0), Fraction(1))]
+        shrink = 1 / Fraction(b)
+        for level in range(11):
+            for outer in (1.0, 0.37, 7, 2.0**-40 / 3.0, 1e300):
+                expected = tuple(
+                    float(end * Fraction(outer)) for seg in segments for end in seg
+                )
+                assert cantor_stack(level, outer, 1.0, b).positions == expected
+            segments = [
+                child
+                for lo, hi in segments
+                for child in ((lo, lo + (hi - lo) * shrink), (hi - (hi - lo) * shrink, hi))
+            ]
+
+    def test_holds_shared_integer_endpoints(self):
+        stack = cantor_stack(3, 0.37, 2.0)
+        explicit = PlateStack(stack.positions, stack.couplings)
+        assert stack == explicit and hash(stack) == hash(explicit) and len(stack) == 16
+        assert pickle.loads(pickle.dumps(stack)) == stack
+        assert stack.scaled(2.0) == explicit.scaled(2.0) and stack.span == explicit.span
+        assert not stack._z.flags.writeable
+        assert stack_energy_per_area(stack) == stack_energy_per_area(explicit)
+        assert cantor_stack(3, 1.5, 7.0)._pos[0] is stack._pos[0]
+
+    def test_collapsed_endpoints_rejected(self):
+        # 5e-324 / 3 rounds to 0.0, the first endpoint: the rounded floats are
+        # still validated although the stack keeps the integers.
+        with pytest.raises(DomainError, match="strictly increasing"):
+            cantor_stack(1, 5e-324, 1.0)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -534,3 +596,91 @@ class TestExtraction:
             extract_coefficient(0, 1.0, [1.0, 2.0, math.inf])
         with pytest.raises(ConfigError):
             extract_coefficient(0, 1.0, [1.0, 2.0, 3.0], gauge="median")
+
+
+def _stack_energy(positions, couplings):
+    return stack_energy_per_area(PlateStack(positions, couplings))
+
+
+def _cantor_energy(level, lambda_l, b):
+    return stack_energy_per_area(cantor_stack(level, 1.0, lambda_l, b))
+
+
+def _mirror_energy(level, lambda_l, gap):
+    return stack_energy_per_area(mirror_pair(cantor_stack(level, 1.0, lambda_l), gap))
+
+
+def frozen_cases():
+    """Energy calls whose outputs FROZEN_BITS pins, in a fixed order.
+
+    Cantor levels 0-9 at b = 2.5, 3 and 10 with lambda*L on every second
+    decade from 1e-6 to 1e6; 500 pairs; 300 stacks with a coupling per plate
+    and an odd plate count, so the right chain ends in a padded step; 100
+    stacks sharing one coupling, of both parities; mirror pairs of Cantor
+    bodies; couplings so weak that every node underflows; and the two
+    stacks of TestOracle that raise.  Inputs come from ``random.Random.random``, whose
+    stream is fixed across Python versions.
+    """
+    rng = random.Random(8191)
+
+    def log_uniform(lo, hi):
+        return lo * (hi / lo) ** rng.random()
+
+    def positions(n, spread):
+        z = [rng.uniform(-1.0, 1.0)]
+        for _ in range(n - 1):
+            z.append(z[-1] + log_uniform(1.0, spread))
+        return z
+
+    cases = [
+        partial(_cantor_energy, level, 10.0**k, b)
+        for b in (2.5, 3.0, 10.0)
+        for level in range(10)
+        for k in range(-6, 7, 2)
+    ]
+    for _ in range(500):
+        d = log_uniform(1e-3, 1e3)
+        cases.append(partial(
+            pair_energy_per_area, log_uniform(1e-8, 1e8) / d, log_uniform(1e-8, 1e8) / d, d
+        ))
+    for _ in range(300):
+        n = 2 * rng.randrange(1, 41) + 1
+        cases.append(partial(
+            _stack_energy, positions(n, 100.0), [log_uniform(1e-4, 1e4) for _ in range(n)]
+        ))
+    for _ in range(100):
+        n = rng.randrange(2, 82)
+        cases.append(partial(_stack_energy, positions(n, 30.0), [log_uniform(1e-3, 1e3)] * n))
+    for level in range(5):
+        for gap in (0.01, 0.3, 2.0):
+            cases.append(partial(_mirror_energy, level, log_uniform(0.1, 100.0), gap))
+    cases += [
+        partial(pair_energy_per_area, 1e-300, 1e-300, 1.0),
+        partial(_stack_energy, (0.0, 1.0, 2.5), (1e-300,) * 3),
+        partial(_stack_energy, (0.0, 1.0, 2.5, 3.0), (1e-300,) * 4),
+        partial(_stack_energy, (0.0, 1e-4, 100.0), (1e-8, 1e-8, 1.0)),
+        partial(_stack_energy, (0.0, 1e-120), (1e300, 1e300)),
+    ]
+    return cases
+
+
+def frozen_outcome(case):
+    """``float.hex`` of the energy, or the type and message of the error."""
+    try:
+        return case().hex()
+    except CastraceError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_frozen_bits():
+    expected = json.loads(FROZEN_BITS.read_text())
+    outcomes = [frozen_outcome(case) for case in frozen_cases()]
+    assert len(outcomes) == len(expected)
+    moved = [(i, old, new) for i, (old, new) in enumerate(zip(expected, outcomes)) if old != new]
+    assert not moved, f"{len(moved)} outcomes moved, first {moved[:3]}"
+    assert outcomes[-2:] == [
+        "NumericalError: exp-sinh rule not converged: halving the step moved the "
+        "integral by 3.904e-29 (allowed 1e-09 relative); values "
+        "-3.7010511546761858e-25 -> -3.7014415462383956e-25",
+        "NumericalError: energy per area is not finite: -inf",
+    ]

@@ -17,7 +17,6 @@ from castrace import (
     ricci_scalar,
     thermal_state,
     trace_report,
-    unified_trace,
     vacuum_stress,
 )
 
@@ -46,7 +45,7 @@ print(f"  p_th = rho/d_s = {thermal.p_th:.6f}")
 print(f"  thermal trace = rho (3/d_s - 1) = {thermal.trace:.6f}")
 
 d = 1.4
-total = unified_trace(thermal, model, d)
+total = trace_report(model, thermal, d).total_trace
 print(f"\nat d = {d}:")
 print(f"  vacuum trace  = {vacuum_stress(model, d).trace:+.6e}")
 print(f"  thermal trace = {thermal.trace:+.6e}")

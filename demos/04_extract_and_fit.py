@@ -21,7 +21,7 @@ from castrace import (
     extract_coefficient,
     fit_log_periodic,
     period_scan,
-    predicted_trace,
+    vacuum_stress,
 )
 
 grid = np.geomspace(0.5, 2.0, 9)
@@ -60,7 +60,7 @@ for k in range(4):
 
 print("\nPredicted trace from the fitted running:")
 for d in (1.0, 1.5, 3.0):
-    print(f"  d = {d:3.1f}:  trace = {predicted_trace(fit, d):+.6e}")
+    print(f"  d = {d:3.1f}:  trace = {vacuum_stress(fit.model, d).trace:+.6e}")
 
 print("\nExploratory period scan (true period sits at ln 3 = 1.0986...):")
 trials = np.linspace(0.6, 1.6, 11)

@@ -25,10 +25,8 @@ _SOURCES = {
             "TraceReport",
             "energy_per_area",
             "normal_pressure",
-            "vacuum_energy_density",
             "vacuum_stress",
             "thermal_state",
-            "unified_trace",
             "ricci_scalar",
             "trace_report",
         ],
@@ -48,7 +46,7 @@ _SOURCES = {
         "scattering",
     ),
     **dict.fromkeys(
-        ["FitConfig", "FitResult", "fit_log_periodic", "predicted_trace", "period_scan"],
+        ["FitConfig", "FitResult", "fit_log_periodic", "period_scan"],
         "logfit",
     ),
 }

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericalError
-from .trace import CoefficientModel, vacuum_stress
+from .trace import CoefficientModel
 
-__all__ = ["FitConfig", "FitResult", "fit_log_periodic", "predicted_trace", "period_scan"]
+__all__ = ["FitConfig", "FitResult", "fit_log_periodic", "period_scan"]
 
 _COND_LIMIT = 1e12
 
@@ -127,15 +127,6 @@ def fit_log_periodic(
         residuals=tuple(residuals.tolist()),
         span_warning=span_warning,
     )
-
-
-def predicted_trace(fit: FitResult, d: float) -> float:
-    """Vacuum trace implied by the fitted running, -(c0/d^4)*F'(ln(d/ell_star)).
-
-    Evaluated through the same stress-assembly path used everywhere else, so
-    it agrees with the tensor trace identically.
-    """
-    return vacuum_stress(fit.model, d).trace
 
 
 def period_scan(

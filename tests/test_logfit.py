@@ -13,7 +13,6 @@ from castrace import (
     NumericalError,
     fit_log_periodic,
     period_scan,
-    predicted_trace,
     vacuum_stress,
 )
 
@@ -146,21 +145,14 @@ class TestPredictedTrace:
         x = np.linspace(0.0, 2.0, 32)
         fit = fit_log_periodic(x, np.full_like(x, 3.0), FitConfig(PERIOD, 0))
         for d in (0.3, 1.0, 5.0):
-            assert predicted_trace(fit, d) == 0.0
+            assert vacuum_stress(fit.model, d).trace == 0.0
 
     def test_sine_amplitude_prediction(self):
         truth = CoefficientModel(c0=1.0, period=PERIOD, harmonics=((0.0, 0.1),))
         x = np.linspace(0.0, 2 * PERIOD, 64)
         fit = fit_log_periodic(x, sample_model(truth, x), FitConfig(PERIOD, 1))
         expected = -0.1 * (2 * math.pi / PERIOD)
-        assert predicted_trace(fit, 1.0) == pytest.approx(expected, rel=1e-8)
-
-    def test_matches_stress_assembly_bitwise(self):
-        truth = CoefficientModel(c0=1.1, period=PERIOD, harmonics=((0.1, 0.07),))
-        x = np.linspace(0.0, 2 * PERIOD, 64)
-        fit = fit_log_periodic(x, sample_model(truth, x), FitConfig(PERIOD, 1))
-        for d in (0.4, 1.0, 2.7):
-            assert predicted_trace(fit, d) == vacuum_stress(fit.model, d).trace
+        assert vacuum_stress(fit.model, 1.0).trace == pytest.approx(expected, rel=1e-8)
 
     def test_periodic_prediction_scales_as_d4(self):
         truth = CoefficientModel(c0=1.0, period=PERIOD, harmonics=((0.05, 0.1),))
@@ -168,8 +160,8 @@ class TestPredictedTrace:
         fit = fit_log_periodic(x, sample_model(truth, x), FitConfig(PERIOD, 1))
         b = math.exp(PERIOD)
         for d in (0.5, 1.0, 2.0):
-            assert predicted_trace(fit, d * b) * b**4 == pytest.approx(
-                predicted_trace(fit, d), rel=1e-9
+            assert vacuum_stress(fit.model, d * b).trace * b**4 == pytest.approx(
+                vacuum_stress(fit.model, d).trace, rel=1e-9
             )
 
 

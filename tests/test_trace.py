@@ -1,7 +1,17 @@
-"""Stress/trace algebra: worked examples, exact identities, ensembles."""
+"""Stress/trace algebra: worked examples, exact identities, ensembles.
+
+FROZEN_TRACE (data/frozen_trace.json) is not an oracle: it holds the trace
+layer's own outputs on ``frozen_trace_outcomes()``'s inputs as ``float.hex``
+strings, so a change meant to keep every value can show that none moved by a
+single bit.
+"""
 
 import dataclasses
+import json
 import math
+import random
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,13 +26,12 @@ from castrace import (
     ricci_scalar,
     thermal_state,
     trace_report,
-    unified_trace,
-    vacuum_energy_density,
     vacuum_stress,
 )
 
 FLAT_C0 = -math.pi**2 / 720.0
 EPS = np.finfo(float).eps
+FROZEN_TRACE = Path(__file__).resolve().parent / "data" / "frozen_trace.json"
 
 
 def random_model(rng, k=None) -> CoefficientModel:
@@ -124,7 +133,7 @@ class TestEnergyAndPressure:
     def test_zero_coefficient(self):
         model = CoefficientModel(c0=0.0)
         assert energy_per_area(model, 0.37) == 0.0
-        assert vacuum_energy_density(model, 0.37) == 0.0
+        assert vacuum_stress(model, 0.37).rho_vac == 0.0
 
     def test_flat_plate_pressure(self):
         model = CoefficientModel(c0=FLAT_C0)
@@ -141,10 +150,10 @@ class TestEnergyAndPressure:
         assert normal_pressure(model, 1.0) == pytest.approx(3 * 1.1 - slope, rel=1e-13)
 
     def test_density_examples(self):
-        assert vacuum_energy_density(CoefficientModel(c0=FLAT_C0), 1.0) == pytest.approx(
+        assert vacuum_stress(CoefficientModel(c0=FLAT_C0), 1.0).rho_vac == pytest.approx(
             FLAT_C0, rel=1e-15
         )
-        assert vacuum_energy_density(CoefficientModel(c0=1.0), 2.0) == pytest.approx(
+        assert vacuum_stress(CoefficientModel(c0=1.0), 2.0).rho_vac == pytest.approx(
             1.0 / 16.0, rel=1e-15
         )
 
@@ -160,7 +169,7 @@ class TestEnergyAndPressure:
 
     def test_domain_errors(self):
         model = CoefficientModel(c0=1.0)
-        for fn in (energy_per_area, normal_pressure, vacuum_energy_density):
+        for fn in (energy_per_area, normal_pressure, vacuum_stress):
             with pytest.raises(DomainError):
                 fn(model, -0.5)
 
@@ -260,17 +269,17 @@ class TestThermalState:
 class TestUnifiedTrace:
     def test_both_sectors_traceless(self):
         thermal = thermal_state(1.0, 1.0, 3.0)
-        assert unified_trace(thermal, CoefficientModel(c0=2.0), 1.3) == 0.0
+        assert trace_report(CoefficientModel(c0=2.0), thermal, 1.3).total_trace == 0.0
 
     def test_thermal_only(self):
         thermal = thermal_state(2.0, 1.0, 1.5)
-        assert unified_trace(thermal, CoefficientModel(c0=2.0), 0.7) == 2.0
+        assert trace_report(CoefficientModel(c0=2.0), thermal, 0.7).total_trace == 2.0
 
     def test_vacuum_only(self):
         thermal = thermal_state(0.0, 1.0, 1.5)
         model = CoefficientModel(c0=1.0, period=math.log(3), harmonics=((0.0, 0.1),))
         expected = -0.1 * 2.0 * math.pi / math.log(3)
-        assert unified_trace(thermal, model, 1.0) == pytest.approx(expected, rel=1e-12)
+        assert trace_report(model, thermal, 1.0).total_trace == pytest.approx(expected, rel=1e-12)
 
     def test_additivity_is_bitwise(self):
         rng = np.random.default_rng(53)
@@ -281,7 +290,7 @@ class TestUnifiedTrace:
                 float(rng.uniform(0.5, 4.0)),
             )
             d = float(rng.uniform(0.1, 10.0))
-            total = unified_trace(thermal, model, d)
+            total = trace_report(model, thermal, d).total_trace
             assert total == thermal.trace + vacuum_stress(model, d).trace
 
 
@@ -347,3 +356,92 @@ class TestTraceReport:
             for name, scale in scales.items():
                 array = np.broadcast_to(getattr(rep, name), grid.shape)
                 assert np.all(np.abs(array - scalar[name]) <= 8 * EPS * scale), name
+
+
+@pytest.mark.parametrize("harmonics", [(), ((0.1, 0.2),)], ids=["K0", "K1"])
+def test_extreme_separations_fail_loudly(harmonics):
+    # d^3 underflows at 1e-110; at 1e-80 only C/d^4 overflows; at 1e200 d^4
+    # overflows to inf, which leaves signed zeros.
+    model = CoefficientModel(-0.0137, harmonics=harmonics)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (energy_per_area, normal_pressure, vacuum_stress):
+            with pytest.raises(NumericalError):
+                fn(model, 1e-110)
+        for fn in (normal_pressure, vacuum_stress):
+            with pytest.raises(NumericalError):
+                fn(model, 1e-80)
+        assert energy_per_area(model, 1e-80) == pytest.approx(
+            model.value(1e-80) * 1e240, rel=1e-14
+        )
+        far = [energy_per_area(model, 1e200), normal_pressure(model, 1e200),
+               *vars(vacuum_stress(model, 1e200)).values()]
+        assert far == [0.0] * 6
+
+
+def test_overflowing_thermal_state_and_curvature_fail_loudly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            thermal_state(1e308, 1e-10, 3.0)
+        with pytest.raises(NumericalError):
+            ricci_scalar(1e300, 1e10)
+
+
+def frozen_trace_outcomes():
+    """``float.hex`` of every output of the trace layer on fixed inputs.
+
+    For each K = 0-3: 40 models, each at one separation drawn log-uniformly
+    over e^-8..e^8 ell_star, with every public function's output; then one
+    25-point geomspace over that range through ``trace_report``, pinned as
+    computed, since numpy's vectorised pow may differ from the scalar pow by
+    an ulp.  Inputs come from ``random.Random``, whose stream is fixed across
+    Python versions.
+    """
+    rng = random.Random(4099)
+
+    def draw_model(k):
+        return CoefficientModel(
+            c0=rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 1.0),
+            period=rng.uniform(0.5, 2.5),
+            harmonics=tuple((rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) for _ in range(k)),
+            ell_star=math.exp(rng.uniform(-2.0, 2.0)),
+        )
+
+    def draw_thermal():
+        return thermal_state(rng.uniform(-5.0, 5.0), math.exp(rng.uniform(-2.0, 2.0)),
+                             rng.uniform(0.5, 4.0))
+
+    outcomes = []
+    for k in range(4):
+        for _ in range(40):
+            model = draw_model(k)
+            d = model.ell_star * math.exp(rng.uniform(-8.0, 8.0))
+            thermal = draw_thermal()
+            g = rng.uniform(0.0, 3.0)
+            stress = vacuum_stress(model, d)
+            values = [
+                energy_per_area(model, d),
+                normal_pressure(model, d),
+                *vars(stress).values(),
+                *vars(thermal).values(),
+                *vars(trace_report(model, thermal, d, g)).values(),
+                ricci_scalar(stress.trace, g),
+            ]
+            outcomes.append([float(v).hex() for v in values])
+        model = draw_model(k)
+        grid = model.ell_star * np.geomspace(math.exp(-8.0), math.exp(8.0), 25)
+        rep = trace_report(model, draw_thermal(), grid, rng.uniform(0.0, 3.0))
+        outcomes.append([
+            [float(v).hex() for v in np.broadcast_to(value, grid.shape)]
+            for value in vars(rep).values()
+        ])
+    return outcomes
+
+
+def test_frozen_bits():
+    expected = json.loads(FROZEN_TRACE.read_text())
+    outcomes = frozen_trace_outcomes()
+    assert len(outcomes) == len(expected)
+    moved = [(i, old, new) for i, (old, new) in enumerate(zip(expected, outcomes)) if old != new]
+    assert not moved, f"{len(moved)} cases moved, first {moved[:2]}"

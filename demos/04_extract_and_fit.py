@@ -20,7 +20,6 @@ from castrace import (
     FitConfig,
     extract_coefficient,
     fit_log_periodic,
-    period_scan,
     vacuum_stress,
 )
 
@@ -61,9 +60,3 @@ for k in range(4):
 print("\nPredicted trace from the fitted running:")
 for d in (1.0, 1.5, 3.0):
     print(f"  d = {d:3.1f}:  trace = {vacuum_stress(fit.model, d).trace:+.6e}")
-
-print("\nExploratory period scan (true period sits at ln 3 = 1.0986...):")
-trials = np.linspace(0.6, 1.6, 11)
-for p, rms in zip(trials, period_scan(x, c, trials, max_harmonics=2)):
-    marker = "  <-- minimum" if abs(p - period) < 0.05 else ""
-    print(f"  p = {p:.3f}:  rms = {rms:.3e}{marker}")

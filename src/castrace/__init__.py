@@ -45,10 +45,7 @@ _SOURCES = {
         ],
         "scattering",
     ),
-    **dict.fromkeys(
-        ["FitConfig", "FitResult", "fit_log_periodic", "period_scan"],
-        "logfit",
-    ),
+    **dict.fromkeys(["FitConfig", "FitResult", "fit_log_periodic"], "logfit"),
 }
 
 __version__ = "0.1.0"

@@ -368,27 +368,15 @@ def run_fit(schema: Schema, fmt: str) -> Iterable[str]:
     from .logfit import FitConfig, fit_log_periodic
 
     input_path = schema.take("input", parse=str)
-    if schema.has("period") and schema.has("reduction"):
-        raise ConfigError("give either period or reduction, not both")
-    if schema.has("period"):
-        period = schema.take("period")
-    elif schema.has("reduction"):
-        reduction = schema.take("reduction")
-        if not 1.0 < reduction < math.inf:
-            raise ConfigError(f"reduction must be above 1 and finite, got {reduction}")
-        period = math.log(reduction)
-    else:
-        raise ConfigError("missing required key 'period' (or 'reduction')")
+    reduction = schema.take("reduction")
+    if not 1.0 < reduction < math.inf:
+        raise ConfigError(f"reduction must be above 1 and finite, got {reduction}")
     max_harmonics = schema.take("max_harmonics", parse=int)
-    ridge = schema.take("ridge", 0.0)
     ell_star = schema.take("ell_star", 1.0)
     schema.finish()
 
     d, c, first = _read_curve(input_path)
-    cfg = FitConfig(
-        period=period, max_harmonics=max_harmonics,
-        regularization=ridge, ell_star=ell_star,
-    )
+    cfg = FitConfig(math.log(reduction), max_harmonics, ell_star=ell_star)
     with np.errstate(divide="ignore", over="ignore"):
         x = np.log(d / ell_star)
     bad = ~np.isfinite(x)

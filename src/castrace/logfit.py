@@ -2,15 +2,14 @@
 
 The model is C(x) = c0*(1 + sum_k a_k cos(2 pi k x/p) + b_k sin(2 pi k x/p))
 with x = ln(d/ell_star).  The period p is pinned by the geometry (p = ln b
-for reduction factor b) and never fitted; a separate period scan is provided
-for exploration.  The regression is linear in (c0, c0*a_k, c0*b_k), solved
-by normal equations with an optional ridge penalty on the harmonic columns.
+for reduction factor b) and never fitted.  The regression is linear in
+(c0, c0*a_k, c0*b_k) and solved by normal equations.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,29 +17,24 @@ import numpy as np
 from .errors import ConfigError, DomainError, NumericalError
 from .trace import CoefficientModel
 
-__all__ = ["FitConfig", "FitResult", "fit_log_periodic", "period_scan"]
+__all__ = ["FitConfig", "FitResult", "fit_log_periodic"]
 
 _COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fixed period, harmonic cutoff K and ridge weight for a fit."""
+    """Fixed period, harmonic cutoff K and crossover length for a fit."""
 
     period: float
     max_harmonics: int
-    regularization: float = 0.0
-    ell_star: float = 1.0
+    ell_star: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self):
         if not 0.0 < self.period < math.inf:
             raise DomainError(f"period must be positive and finite, got {self.period}")
         if self.max_harmonics < 0:
             raise DomainError(f"max_harmonics must be >= 0, got {self.max_harmonics}")
-        if not 0.0 <= self.regularization < math.inf:
-            raise DomainError(
-                f"ridge weight must be >= 0 and finite, got {self.regularization}"
-            )
         if not 0.0 < self.ell_star < math.inf:
             raise DomainError(f"ell_star must be positive and finite, got {self.ell_star}")
 
@@ -89,10 +83,6 @@ def fit_log_periodic(
 
     basis = _design_matrix(x, cfg.period, k_max)
     gram = basis.T @ basis
-    if cfg.regularization > 0.0:
-        penalty = np.full(n_params, cfg.regularization)
-        penalty[0] = 0.0  # the base coefficient is never shrunk
-        gram = gram + np.diag(penalty)
     cond = np.linalg.cond(gram)
     if not np.isfinite(cond) or cond > _COND_LIMIT:
         raise NumericalError(
@@ -127,28 +117,3 @@ def fit_log_periodic(
         residuals=tuple(residuals.tolist()),
         span_warning=span_warning,
     )
-
-
-def period_scan(
-    x: Sequence[float],
-    c: Sequence[float],
-    periods: Sequence[float],
-    max_harmonics: int,
-    regularization: float = 0.0,
-) -> np.ndarray:
-    """Residual rms as a function of trial period, for exploratory use.
-
-    Trial periods where the fit degenerates are reported as NaN.
-    """
-    out = np.empty(len(periods))
-    for i, p in enumerate(periods):
-        try:
-            cfg = FitConfig(
-                period=float(p),
-                max_harmonics=max_harmonics,
-                regularization=regularization,
-            )
-            out[i] = fit_log_periodic(x, c, cfg).residual_rms
-        except (NumericalError, DomainError):
-            out[i] = np.nan
-    return out

@@ -64,34 +64,31 @@ class CoefficientModel:
             raise DomainError(f"harmonic amplitudes must be finite, got {harmonics}")
         object.__setattr__(self, "harmonics", harmonics)
 
-    def log_separation(self, d):
-        """x = ln(d/ell_star) for a separation or an array of them; domain-checked."""
+    def _evaluate(self, d):
+        """C and dC/dx at separation d (a float or an array), with d domain-checked."""
         if isinstance(d, float):  # an array reduction costs microseconds per scalar
             ok = 0.0 < d < math.inf
         else:
             ok = np.all((d > 0.0) & (d < math.inf))
         if not ok:
             raise DomainError(f"separation must be positive and finite, got {d}")
-        return np.log(d / self.ell_star)
+        x = np.log(d / self.ell_star)
+        value, slope = 1.0, 0.0
+        for k, (a, b) in enumerate(self.harmonics, start=1):
+            phase = _TWO_PI * k * x / self.period
+            value += a * np.cos(phase) + b * np.sin(phase)
+            omega = _TWO_PI * k / self.period
+            phase = omega * x  # not the phase above: the two round differently
+            slope += omega * (-a * np.sin(phase) + b * np.cos(phase))
+        return self.c0 * value, self.c0 * slope
 
     def value(self, d):
         """C evaluated at separation d (a float or an array)."""
-        x = self.log_separation(d)
-        acc = 1.0
-        for k, (a, b) in enumerate(self.harmonics, start=1):
-            phase = _TWO_PI * k * x / self.period
-            acc += a * np.cos(phase) + b * np.sin(phase)
-        return self.c0 * acc
+        return self._evaluate(d)[0]
 
     def log_derivative(self, d):
         """dC/dx at separation d (derivative with respect to ln d)."""
-        x = self.log_separation(d)
-        acc = 0.0
-        for k, (a, b) in enumerate(self.harmonics, start=1):
-            omega = _TWO_PI * k / self.period
-            phase = omega * x
-            acc += omega * (-a * np.sin(phase) + b * np.cos(phase))
-        return self.c0 * acc
+        return self._evaluate(d)[1]
 
 
 @dataclass(frozen=True)
@@ -153,18 +150,18 @@ def _finite(what: str, d, *values) -> None:
 
 
 def _vacuum(model: CoefficientModel, d):
-    """C/d^3 and the vacuum stress at d in numpy floats, unchecked.
+    """C/d^3, rho, P_par, P_perp and the trace at d in numpy floats, unchecked.
 
     The only place C and dC/dlnd are evaluated.  The trace is literally
     -rho + 2*P_par + P_perp, so it is not finite when a component is not.
     """
     x = np.float64(d)
-    c = model.value(x)
-    rho = c / x**4
+    c, slope = model._evaluate(x)
+    d4 = x**4
+    rho = c / d4
     p_par = -rho
-    p_perp = 3.0 * rho - model.log_derivative(x) / x**4
-    trace = -rho + 2.0 * p_par + p_perp
-    return c / x**3, VacuumStress(rho_vac=rho, p_parallel=p_par, p_perp=p_perp, trace=trace)
+    p_perp = 3.0 * rho - slope / d4
+    return c / x**3, rho, p_par, p_perp, -rho + 2.0 * p_par + p_perp
 
 
 @_ieee()
@@ -192,9 +189,9 @@ def vacuum_stress(model: CoefficientModel, d: float) -> VacuumStress:
     -rho + 2*P_par + P_perp, bit for bit; algebraically it equals
     -(dC/dlnd)/d^4, so a static coefficient gives an exactly zero trace.
     """
-    stress = _vacuum(model, d)[1]
-    _finite("vacuum stress", d, stress.trace)
-    return stress
+    _, rho, p_par, p_perp, trace = _vacuum(model, d)
+    _finite("vacuum stress", d, trace)
+    return VacuumStress(rho_vac=rho, p_parallel=p_par, p_perp=p_perp, trace=trace)
 
 
 @_ieee()
@@ -236,11 +233,11 @@ def trace_report(
     Raises NumericalError when a column is not finite, as when d^4
     underflows to zero.
     """
-    e, stress = _vacuum(model, d)
-    total = thermal.trace + stress.trace
+    e, rho, p_par, p_perp, trace = _vacuum(model, d)
+    total = thermal.trace + trace
     _finite("trace report", d, e, total)  # total is not finite if a stress field is not
     return TraceReport(
-        d=d, e=e, rho_vac=stress.rho_vac, p_perp=stress.p_perp, p_parallel=stress.p_parallel,
-        vacuum_trace=stress.trace, thermal_trace=thermal.trace, total_trace=total,
+        d=d, e=e, rho_vac=rho, p_perp=p_perp, p_parallel=p_par,
+        vacuum_trace=trace, thermal_trace=thermal.trace, total_trace=total,
         ricci=ricci_scalar(total, g_newton),
     )

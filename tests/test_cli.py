@@ -307,7 +307,7 @@ class TestFitCommand:
         curve = self.make_curve(tmp_path)
         cfg = write_config(
             tmp_path, "f.cfg",
-            f"input = {curve}\nperiod = {math.log(3.0)!r}\nmax_harmonics = 1\n",
+            f"input = {curve}\nreduction = 3\nmax_harmonics = 1\n",
         )
         out = tmp_path / "fit.csv"
         assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
@@ -316,25 +316,17 @@ class TestFitCommand:
         assert float(table["c0"]) == pytest.approx(1.0, abs=1e-10)
         assert float(table["a1"]) == pytest.approx(0.1, abs=1e-8)
 
-    def test_period_and_reduction_conflict(self, tmp_path):
-        curve = self.make_curve(tmp_path)
-        cfg = write_config(
-            tmp_path, "f.cfg",
-            f"input = {curve}\nperiod = 1.0\nreduction = 3\nmax_harmonics = 1\n",
-        )
-        assert main(["fit", "--config", cfg]) == 2
-
     @pytest.mark.parametrize(
         "key,value",
-        [("period", "nan"), ("period", "inf"), ("ell_star", "inf"), ("ridge", "nan"),
+        [("reduction", "nan"), ("reduction", "inf"), ("ell_star", "inf"),
          ("reduction", "0"), ("reduction", "-1")],
     )
     def test_non_finite_fit_keys_are_usage_errors(self, tmp_path, capsys, key, value):
         curve = self.make_curve(tmp_path)
-        period = "" if key in ("period", "reduction") else f"period = {math.log(3.0)!r}\n"
+        reduction = "" if key == "reduction" else "reduction = 3\n"
         cfg = write_config(
             tmp_path, "f.cfg",
-            f"input = {curve}\n{period}{key} = {value}\nmax_harmonics = 1\n",
+            f"input = {curve}\n{reduction}{key} = {value}\nmax_harmonics = 1\n",
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -402,11 +394,12 @@ class TestFitCommand:
         err = capsys.readouterr().err
         assert f"line 6: {message}" in err
 
-    def test_missing_input_file(self, tmp_path):
+    def test_missing_input_file(self, tmp_path, capsys):
         cfg = write_config(
-            tmp_path, "f.cfg", "input = nope.csv\nperiod = 1\nmax_harmonics = 1\n"
+            tmp_path, "f.cfg", "input = nope.csv\nreduction = 3\nmax_harmonics = 1\n"
         )
         assert main(["fit", "--config", cfg]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read input 'nope.csv'")
 
 
 class TestDesignCommand:
@@ -520,7 +513,7 @@ FAILING_CONFIGS = {
     "trace": ("c0 = -0.0137\nd_min = 1e-100\nd_max = 1e-99\npoints = 3\n", 3),
     "stack": ("positions = 0, 1e-120\ncouplings = 1e300, 1e300\n", 3),
     "extract": ("level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 2\n", 2),
-    "fit": ("input = {curve}\nperiod = 1\nmax_harmonics = 1\n", 3),
+    "fit": ("input = {curve}\nreduction = 2.718281828459045\nmax_harmonics = 1\n", 3),
     "design": ("outer = 1\nreduction = 3\nseparation = 0.01\nmargin = 0.5\n", 2),
 }
 
@@ -636,13 +629,16 @@ def test_threads_flag_removed(tmp_path, capsys, command):
 REMOVED_KEY_CONFIGS = {
     "trace": "c0 = 1\nd_min = 1\nd_max = 2\npoints = 3\n",
     "extract": "level = 0\nlambda_hat = 1\nd_min = 0.5\nd_max = 2\npoints = 3\n",
+    # The schema is checked before the input is read, so no curve file is needed.
+    "fit": "input = nope.csv\nreduction = 3\nmax_harmonics = 1\n",
 }
 
 
 @pytest.mark.parametrize(
     "command,key",
     [("trace", "u_th"), ("trace", "v_s"),
-     ("extract", "fit_harmonics"), ("extract", "ell_star"), ("extract", "ridge")],
+     ("extract", "fit_harmonics"), ("extract", "ell_star"), ("extract", "ridge"),
+     ("fit", "period"), ("fit", "ridge")],
 )
 def test_removed_config_keys(tmp_path, capsys, command, key):
     cfg = write_config(tmp_path, "c.cfg", f"{REMOVED_KEY_CONFIGS[command]}{key} = 1\n")

@@ -12,7 +12,6 @@ from castrace import (
     FitConfig,
     NumericalError,
     fit_log_periodic,
-    period_scan,
     vacuum_stress,
 )
 
@@ -100,7 +99,6 @@ class TestFitLogPeriodic:
         (x if which == "x" else c)[5] = float(value)
         with pytest.raises(DomainError):
             fit_log_periodic(x, c, FitConfig(PERIOD, k))
-        assert np.isnan(period_scan(x, c, [PERIOD], max_harmonics=k)).all()
 
     def test_singular_when_x_identical(self):
         x = np.zeros(16)
@@ -122,22 +120,13 @@ class TestFitLogPeriodic:
         c_wide = 1.0 + 0.1 * np.cos(2 * np.pi * x_wide / PERIOD)
         assert fit_log_periodic(x_wide, c_wide, FitConfig(PERIOD, 1)).span_warning is False
 
-    def test_ridge_shrinks_harmonics_only(self):
-        truth = CoefficientModel(c0=1.0, period=PERIOD, harmonics=((0.2, 0.0),))
-        x = np.linspace(0.0, 2 * PERIOD, 64)
-        c = sample_model(truth, x)
-        plain = fit_log_periodic(x, c, FitConfig(PERIOD, 1))
-        ridged = fit_log_periodic(x, c, FitConfig(PERIOD, 1, regularization=10.0))
-        assert abs(ridged.model.harmonics[0][0]) < abs(plain.model.harmonics[0][0])
-        assert ridged.model.c0 == pytest.approx(1.0, abs=5e-3)
-
     def test_config_validation(self):
         with pytest.raises(DomainError):
             FitConfig(period=0.0, max_harmonics=1)
         with pytest.raises(DomainError):
             FitConfig(period=1.0, max_harmonics=-1)
-        with pytest.raises(DomainError):
-            FitConfig(period=1.0, max_harmonics=1, regularization=-1.0)
+        with pytest.raises(TypeError):
+            FitConfig(1.0, 1, 0.5)  # ell_star is keyword-only
 
 
 class TestPredictedTrace:
@@ -163,13 +152,3 @@ class TestPredictedTrace:
             assert vacuum_stress(fit.model, d * b).trace * b**4 == pytest.approx(
                 vacuum_stress(fit.model, d).trace, rel=1e-9
             )
-
-
-class TestPeriodScan:
-    def test_residual_dips_at_true_period(self):
-        truth = CoefficientModel(c0=1.0, period=PERIOD, harmonics=((0.1, 0.05),))
-        x = np.linspace(0.0, 4 * PERIOD, 160)
-        c = sample_model(truth, x)
-        periods = np.linspace(0.5 * PERIOD, 1.5 * PERIOD, 21)
-        residuals = period_scan(x, c, periods, max_harmonics=1)
-        assert int(np.nanargmin(residuals)) == 10  # the true period sits mid-grid

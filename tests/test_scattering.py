@@ -224,6 +224,19 @@ def grid_stacks(draw):
     return PlateStack(np.cumsum([start, *steps]) * GRID, np.array(strengths) / (min(steps) * GRID))
 
 
+@st.composite
+def raised_couplings(draw):
+    """2-11 plates with gaps e^U(-2, 2) and couplings e^U(-3, 4), and the same
+    stack with one coupling multiplied by e^U(0.01, 2)."""
+    n = draw(st.integers(2, 11))
+    gaps = np.exp(draw(st.lists(st.floats(-2.0, 2.0), min_size=n - 1, max_size=n - 1)))
+    couplings = np.exp(draw(st.lists(st.floats(-3.0, 4.0), min_size=n, max_size=n)))
+    positions = np.cumsum([0.0, *gaps])
+    raised = couplings.copy()
+    raised[draw(st.integers(0, n - 1))] *= math.exp(draw(st.floats(0.01, 2.0)))
+    return PlateStack(positions, couplings), PlateStack(positions, raised)
+
+
 class TestStackEnergy:
     def test_two_plate_reduction(self):
         rng = np.random.default_rng(19)
@@ -266,6 +279,15 @@ class TestStackEnergy:
         assert stack_energy_per_area(stack.scaled(s)) * s**3 == e
         reflected = PlateStack([-z for z in reversed(stack.positions)], reversed(stack.couplings))
         assert rel_err(stack_energy_per_area(reflected), e) <= 1e-14
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(raised_couplings())
+    def test_raising_a_coupling_never_raises_energy(self, stacks):
+        # A stronger plate reflects more at every wavenumber, which deepens
+        # the binding of the whole stack.
+        stack, raised = stacks
+        e = stack_energy_per_area(stack)
+        assert stack_energy_per_area(raised) <= e + 1e-12 * abs(e)
 
     def test_cluster_decomposition(self):
         # Far right body at 1000x the outer scale.  At these couplings the
